@@ -128,21 +128,21 @@ def _parse_model(section) -> tuple[IntensityModel, str]:
         raise ConfigError(f"bad parameters for model {name!r}: {exc}") from exc
 
 
-def _parse_window(section, prefix: str, dim: int, required: bool) -> Window | None:
+def _parse_corners(section, prefix: str, dim: int) -> Window | None:
     corners = section.get(prefix, None)
-    size = section.getfloat(f"{prefix}_size", None)
-    if corners is not None:
-        vals = _floats(corners)
-        if len(vals) != 2 * dim:
-            raise ConfigError(
-                f"{prefix} needs {2 * dim} numbers (lower then upper), got {len(vals)}"
-            )
-        return Window(np.array(vals[:dim]), np.array(vals[dim:]))
-    if size is not None:
-        return Window.cube(size, dim)
-    if required:
-        raise ConfigError(f"geometry section must define {prefix} or {prefix}_size")
-    return None
+    if corners is None:
+        return None
+    vals = _floats(corners)
+    if len(vals) != 2 * dim:
+        raise ConfigError(
+            f"{prefix} needs {2 * dim} numbers (lower then upper), got {len(vals)}"
+        )
+    return Window(np.array(vals[:dim]), np.array(vals[dim:]))
+
+
+def default_delta(window: Window) -> Window:
+    """The default count box: centred, side 1 clipped to a fifth of the window."""
+    return window.centered_cube(min(1.0, float(window.sides.min()) / 5.0))
 
 
 def config_from_resolved(raw: dict) -> ExperimentConfig:
@@ -259,20 +259,37 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     if any(l2 <= l1 for l1, l2 in zip(L_list, L_list[1:])):
         raise ConfigError("L_list must be strictly increasing")
 
-    window_optional = kind == "percolation-scan" or (
-        kind == "wr-order-parameter" and bool(L_list)
-    )
-    window = _parse_window(geo, "window", dim, required=not window_optional)
-    delta = _parse_window(geo, "delta", dim, required=False)
-    if delta is None and kind in ("rc-check", "wr-order-parameter", "dlr-check", "domination-check"):
-        size = geo.getfloat("delta_size", None)
-        if size is None and window is not None:
-            # default: the centered unit box, clipped to a fifth of the window
-            side = min(1.0, float(window.sides.min()) / 5.0)
-            center = (window.lower + window.upper) / 2.0
-            delta = Window(center - side / 2.0, center + side / 2.0)
+    # with an L_list the order parameter runs on the cubes [0, L]^dim
+    per_L = kind == "wr-order-parameter" and bool(L_list)
+    window = _parse_corners(geo, "window", dim)
+    window_size = geo.getfloat("window_size", None)
+    if window is None and window_size is not None:
+        window = Window.cube(window_size, dim)
+    if window is None and not (per_L or kind == "percolation-scan"):
+        raise ConfigError("geometry section must define window or window_size")
+    delta = _parse_corners(geo, "delta", dim)
+    delta_size = geo.getfloat("delta_size", None)
+    if delta is None and delta_size is not None:
+        if window is None:
+            raise ConfigError(
+                "delta_size is centred in the window, and there is none; "
+                "give delta as corners (lower then upper)"
+            )
+        delta = window.centered_cube(delta_size)
+    elif delta is None and window is not None and not per_L and kind in (
+        "rc-check", "wr-order-parameter", "dlr-check", "domination-check"
+    ):
+        delta = default_delta(window)
     if window is not None and delta is not None and not window.contains_window(delta):
         raise ConfigError("delta must lie inside the window")
+    if per_L and delta is not None:
+        for L in L_list:
+            if not Window.cube(L, dim).contains_window(delta):
+                raise ConfigError(f"delta must lie inside every L_list window, not only L = {L:g}")
+    if kind == "domination-check" and dim != 2:
+        raise ConfigError(
+            "domination-check needs dim = 2: its statistic battery and merge bound are planar"
+        )
 
     z_text = sched_get("z_grid", "1.0")
     z_grid = _floats(z_text)
@@ -348,26 +365,4 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             "recolor_cluster_cap": settings.recolor_cluster_cap,
         },
     }
-    return ExperimentConfig(
-        kind=kind,
-        model=model,
-        model_name=model_name,
-        dim=dim,
-        a=a,
-        window=window,
-        delta=delta,
-        z_grid=z_grid,
-        L_list=L_list,
-        replicates=replicates,
-        runs=runs,
-        settings=settings,
-        seed=seed,
-        out_dir=out_dir,
-        workers=workers,
-        guard_margin=guard_margin,
-        tau=tau,
-        merge_bound=merge_bound,
-        replicate_offset=replicate_offset,
-        both_axes=both_axes,
-        raw=raw,
-    )
+    return config_from_resolved(raw)

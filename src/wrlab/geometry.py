@@ -43,6 +43,11 @@ class Window:
     def cube(cls, side: float, dim: int = 2, origin: float = 0.0) -> "Window":
         return cls(np.full(dim, origin), np.full(dim, origin + side))
 
+    def centered_cube(self, side: float) -> "Window":
+        """The cube of the given side centred in this window."""
+        center = (self.lower + self.upper) / 2.0
+        return Window(center - side / 2.0, center + side / 2.0)
+
     @property
     def dim(self) -> int:
         return self.lower.size

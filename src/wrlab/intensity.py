@@ -146,7 +146,11 @@ class Segment:
     def __post_init__(self):
         s = np.asarray(self.start, dtype=float)
         e = np.asarray(self.end, dtype=float)
-        if np.allclose(s, e):
+        # np.allclose(s, e) with its default tolerances, minus the array overhead
+        if all(
+            x == y or (abs(x - y) <= 1e-8 + 1e-5 * abs(y) and math.isfinite(y))
+            for x, y in zip(s.tolist(), e.tolist())
+        ):
             raise ValueError("segment endpoints must be distinct")
         if self.linear_density < 0:
             raise ValueError("linear_density must be >= 0")
@@ -240,24 +244,28 @@ def _poisson_points(rng: np.random.Generator, rate: float, window: Window) -> np
     return rng.uniform(window.lower, window.upper, size=(n, window.dim))
 
 
-def _clip_segment(p: np.ndarray, q: np.ndarray, window: Window):
-    """Liang-Barsky clip of segment pq to a box; None if disjoint."""
+def _clip_segments(p: np.ndarray, q: np.ndarray, window: Window):
+    """Liang-Barsky clip of each segment ``p[i] q[i]`` to a box.
+
+    Returns ``(hit, cp, cq)``: whether each segment meets the box, and the
+    clipped end points (meaningful where ``hit``).
+    """
     d = q - p
-    t0, t1 = 0.0, 1.0
-    for k in range(window.dim):
-        if d[k] == 0.0:
-            if p[k] < window.lower[k] or p[k] > window.upper[k]:
-                return None
-            continue
-        ta = (window.lower[k] - p[k]) / d[k]
-        tb = (window.upper[k] - p[k]) / d[k]
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return None
-    return p + t0 * d, p + t1 * d
+    n = len(p)
+    t0 = np.zeros(n)
+    t1 = np.ones(n)
+    hit = np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(window.dim):
+            lo, hi = window.lower[k], window.upper[k]
+            flat = d[:, k] == 0.0
+            hit &= ~(flat & ((p[:, k] < lo) | (p[:, k] > hi)))
+            ta = (lo - p[:, k]) / d[:, k]
+            tb = (hi - p[:, k]) / d[:, k]
+            t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+            t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+    hit &= t0 <= t1
+    return hit, p + t0[:, None] * d, p + t1[:, None] * d
 
 
 def _realize_voronoi(
@@ -286,54 +294,51 @@ def _realize_voronoi(
         tree = cKDTree(germs)
         center = germs.mean(axis=0)
         span = float(np.linalg.norm(guard.sides)) * 4.0
-        segments: list[Segment] = []
-        ok = True
-        for (i, j), ridge in zip(vor.ridge_points, vor.ridge_vertices):
-            v0, v1 = ridge
-            if v0 == -1 and v1 == -1:
+        pairs = vor.ridge_points
+        ends = np.asarray(vor.ridge_vertices)
+        # rows with a -1 end are overwritten below or dropped by ``used``
+        p = vor.vertices[ends[:, 0]]
+        q = vor.vertices[ends[:, 1]]
+        used = (ends != -1).any(axis=1)
+        unbounded = used & (ends == -1).any(axis=1)
+        for r in np.flatnonzero(unbounded):
+            i, j = pairs[r]
+            v0, v1 = ends[r]
+            # extend the unbounded ridge far beyond the guard box
+            known = vor.vertices[v1 if v0 == -1 else v0]
+            tangent = germs[j] - germs[i]
+            norm = np.linalg.norm(tangent)
+            if norm == 0.0:
+                used[r] = False
                 continue
-            unbounded = v0 == -1 or v1 == -1
-            if unbounded:
-                # extend the unbounded ridge far beyond the guard box
-                known = vor.vertices[v1 if v0 == -1 else v0]
-                tangent = germs[j] - germs[i]
-                norm = np.linalg.norm(tangent)
-                if norm == 0.0:
-                    continue
-                normal = np.array([-tangent[1], tangent[0]]) / norm
-                midpoint = (germs[i] + germs[j]) / 2.0
-                if np.dot(midpoint - center, normal) < 0:
-                    normal = -normal
-                p, q = known, known + normal * span
-            else:
-                p, q = vor.vertices[v0], vor.vertices[v1]
-            clipped = _clip_segment(np.asarray(p), np.asarray(q), window)
-            if clipped is None:
-                continue
-            cp, cq = clipped
-            if np.allclose(cp, cq):
-                continue
-            gi, gj = germs[i], germs[j]
-            probes = np.array([cp, (cp + cq) / 2.0, cq])
-            bisector_dist = np.linalg.norm(probes - gi, axis=1)
-            nearest_dist, _ = tree.query(probes)
-            # a true edge point is exactly at nearest-germ distance from its
-            # generators; anything closer to a third germ is not edge at all
-            # (an unbounded ridge extended the wrong way), so drop it
-            if (nearest_dist < bisector_dist - 1e-9).any():
-                if unbounded:
-                    continue
-                ok = False
-                break
-            # endpoint germ distance must beat the guard-boundary distance,
-            # else a germ outside the guard region could alter the edge
-            guard_dist = guard.boundary_distance(np.array([cp, cq]))
-            if (np.linalg.norm(np.array([cp, cq]) - gi, axis=1) >= guard_dist).any():
-                ok = False
-                break
-            segments.append(Segment(cp, cq, 1.0, generators=np.array([gi, gj])))
-        if ok:
-            return tuple(segments), margin
+            normal = np.array([-tangent[1], tangent[0]]) / norm
+            midpoint = (germs[i] + germs[j]) / 2.0
+            if np.dot(midpoint - center, normal) < 0:
+                normal = -normal
+            p[r], q[r] = known, known + normal * span
+        hit, cp, cq = _clip_segments(p, q, window)
+        keep = np.flatnonzero(used & hit & ~np.isclose(cp, cq).all(axis=1))
+        cp, cq, unbounded = cp[keep], cq[keep], unbounded[keep]
+        probes = np.stack([cp, (cp + cq) / 2.0, cq], axis=1)
+        bisector_dist = np.linalg.norm(probes - germs[pairs[keep, 0]][:, None, :], axis=2)
+        nearest_dist = tree.query(probes.reshape(-1, 2))[0].reshape(-1, 3)
+        # a true edge point is exactly at nearest-germ distance from its
+        # generators; anything closer to a third germ is not edge at all
+        # (an unbounded ridge extended the wrong way), so drop it
+        off_edge = (nearest_dist < bisector_dist - 1e-9).any(axis=1)
+        # endpoint germ distance must beat the guard-boundary distance,
+        # else a germ outside the guard region could alter the edge
+        unguarded = (bisector_dist[:, 0] >= guard.boundary_distance(cp)) | (
+            bisector_dist[:, 2] >= guard.boundary_distance(cq)
+        )
+        if not (off_edge & ~unbounded).any() and not (unguarded & ~off_edge).any():
+            on = ~off_edge
+            generators = germs[pairs[keep[on]]]
+            segments = tuple(
+                Segment(s, e, 1.0, generators=g)
+                for s, e, g in zip(cp[on], cq[on], generators)
+            )
+            return segments, margin
         margin *= 2.0
     raise RuntimeError(
         "Voronoi realization rejected by the guard diagnostic "
@@ -482,15 +487,18 @@ def _check_region(env: EnvironmentRealization, region: Window) -> None:
 
 
 def _clipped_segments(env: EnvironmentRealization, region: Window) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    segments = env.segments
+    if not segments:
+        return []
+    hit, cp, cq = _clip_segments(
+        np.array([s.start for s in segments]), np.array([s.end for s in segments]), region
+    )
     out = []
-    for seg in env.segments:
-        clipped = _clip_segment(seg.start, seg.end, region)
-        if clipped is None:
-            continue
-        p, q = clipped
+    for k in np.flatnonzero(hit):
+        p, q = cp[k], cq[k]
         length = float(np.linalg.norm(q - p))
         if length > 0.0:
-            out.append((p, q, length * seg.linear_density))
+            out.append((p, q, length * segments[k].linear_density))
     return out
 
 
@@ -576,65 +584,24 @@ def sample_poisson(
     return Configuration(pts[keep]) if keep.any() else Configuration.empty(dim)
 
 
-class LocationSampler:
-    """Repeated draws from the normalized environment on a fixed window.
-
-    Used as the birth proposal inside the chains; one instance precomputes
-    the clipped segment table / rejection setup and then serves single
-    points from a :class:`UniformBlocks` source.
-    """
-
-    def __init__(self, env: EnvironmentRealization, window: Window, max_tries: int = 100000):
-        _check_region(env, window)
-        self.env = env
-        self.window = window
-        self.dim = window.dim
-        self.max_tries = max_tries
-        self._lo = window.lower.tolist()
-        self._sides = window.sides.tolist()
-        if env.segments is not None:
-            pieces = _clipped_segments(env, window)
-            self._pieces = [(p.tolist(), (q - p).tolist(), m) for p, q, m in pieces]
-            self._cum = np.cumsum([m for _, _, m in pieces]).tolist()
-            if not self._cum or self._cum[-1] <= 0.0:
-                raise ValueError("environment has zero total mass on the window")
-        elif env.constant_density is not None:
-            if env.constant_density <= 0.0:
-                raise ValueError("environment has zero total mass on the window")
-            self._pieces = None
-        else:
-            if not env.sup_bound or env.sup_bound <= 0.0:
-                raise ValueError("environment has zero total mass on the window")
-            self._pieces = None
-
-    def draw(self, ub: UniformBlocks):
-        lo, sides, dim = self._lo, self._sides, self.dim
-        env = self.env
-        if env.segments is not None:
-            u = ub.next() * self._cum[-1]
-            i = bisect.bisect_left(self._cum, u)
-            start, direction, _ = self._pieces[min(i, len(self._pieces) - 1)]
-            t = ub.next()
-            return tuple(start[k] + t * direction[k] for k in range(dim))
-        if env.constant_density is not None:
-            return tuple(lo[k] + ub.next() * sides[k] for k in range(dim))
-        sup = env.sup_bound
-        for _ in range(self.max_tries):
-            pos = tuple(lo[k] + ub.next() * sides[k] for k in range(dim))
-            dens = float(env.density_at(np.array([pos]))[0])
-            if ub.next() * sup <= dens:
-                return pos
-        raise RuntimeError(
-            "location rejection budget exhausted; environment mass on the "
-            "window may be zero or extremely sparse"
-        )
-
-
 def sample_location(env: EnvironmentRealization, window: Window, seed=0) -> np.ndarray:
-    """One point distributed as environment mass normalized on the window."""
-    sampler = LocationSampler(env, window)
+    """One point distributed as environment mass normalized on the window.
+
+    Draws from the chains' birth proposal (:func:`dominating_measure`) and
+    accepts with its thinning factor, so both share one sampler.
+    """
+    total, draw, thin = dominating_measure(env, window, 1.0)
+    if total == 0.0:
+        raise ValueError("environment has zero total mass on the window")
     ub = UniformBlocks(as_generator(seed), block=64)
-    return np.asarray(sampler.draw(ub))
+    for _ in range(100000):
+        pos = draw(ub)
+        if thin is None or ub.next() <= thin(pos):
+            return np.asarray(pos)
+    raise RuntimeError(
+        "location rejection budget exhausted; environment mass on the "
+        "window may be zero or extremely sparse"
+    )
 
 
 def dominating_measure(env: EnvironmentRealization, window: Window, z: float, color_doubled: bool = False):

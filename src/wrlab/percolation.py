@@ -21,7 +21,7 @@ from .geometry import (
 )
 from .intensity import IntensityModel, realize_environment, sample_poisson
 from .rng import as_generator, spawn
-from .stats import EstimateWithError, summarize_binomial, summarize_replicates, wilson_interval
+from .stats import EstimateWithError, pool_replicates, summarize_binomial, wilson_interval
 
 
 def largest_component_fraction(conf: Configuration, a: float, window: Window) -> float:
@@ -129,12 +129,6 @@ def estimate_crossing_probability(
     rows = []
     for col, z in enumerate(zs):
         successes = int(crossings[:, col].sum())
-        if replicates >= 2:
-            largest = summarize_replicates(fractions[:, col])
-        else:
-            largest = EstimateWithError(
-                float(fractions[:, col].mean()), 0.0, replicates, "replicate-variance"
-            )
         rows.append(
             ScanRow(
                 z=z,
@@ -143,7 +137,7 @@ def estimate_crossing_probability(
                 crossing_successes=successes,
                 crossing=summarize_binomial(successes, replicates),
                 crossing_interval=wilson_interval(successes, replicates, interval_level),
-                largest_fraction=largest,
+                largest_fraction=pool_replicates(fractions[:, col]),
             )
         )
     if return_indicators:

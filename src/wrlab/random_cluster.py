@@ -22,14 +22,21 @@ from scipy.spatial import cKDTree
 from .geometry import (
     Configuration,
     ConnectivityParams,
-    GridIndex,
     Window,
     build_components,
 )
-from .intensity import EnvironmentRealization, dominating_measure, sample_poisson
-from .rng import UniformBlocks, as_generator, spawn
-from .stats import batch_means, pool_independent, summarize_replicates
-from .wr_gibbs import MCMCSettings, PLUS_WIRED, WRParams, estimate_order_parameter, run_wr_chain
+from .intensity import EnvironmentRealization, sample_poisson
+from .rng import as_generator, spawn
+from .stats import EstimateWithError, batch_means, combined_sigma, pool_independent, summarize_replicates
+from .wr_gibbs import (
+    MCMCSettings,
+    PLUS_WIRED,
+    WRParams,
+    _BirthDeathChain,
+    _single_move,
+    estimate_order_parameter,
+    run_wr_chain,
+)
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ def _wired_merge_delta(k_free: int, touching: int, x_touches: bool) -> int:
     return (1 - k_free) - (merged_touch - touching)
 
 
-class _RcChain:
+class _RcChain(_BirthDeathChain):
     """Birth-death chain with an incrementally maintained component count.
 
     Point ids are stable; the union-find forest keeps tombstones for removed
@@ -115,31 +122,13 @@ class _RcChain:
         settings: MCMCSettings,
         rng: np.random.Generator,
     ):
-        self.params = params
-        self.settings = settings
-        self.r = 2.0 * params.a
-        self.r2 = self.r * self.r
-        self.dim = params.window.dim
-        self.lo = params.window.lower.tolist()
-        self.hi = params.window.upper.tolist()
-        self.total, self.draw, self.thin = dominating_measure(
-            params.env, params.window, params.z, color_doubled=False
-        )
-        # sweep length tracks the expected point count, not the dominating mass
-        if self.thin is None:
-            self.sweep_mass = self.total
-        else:
-            from .intensity import total_mass
-
-            self.sweep_mass = params.z * total_mass(params.env, params.window)
+        super().__init__(params, settings, rng, color_doubled=False)
         mix = settings.move_mix
         # the recolor slot is dead weight here; fold it into (birth, death)
         pb = mix[0] + mix[2] / 2.0
         pd = mix[1] + mix[2] / 2.0
         self.c_birth = pb
         self.pd_over_pb = pd / pb if pb > 0 else 1.0
-        self.ub = UniformBlocks(rng)
-        self.grid = GridIndex(params.window, self.r)
         self.pos: dict[int, tuple] = {}
         self.active: list[int] = []
         self.slot: dict[int, int] = {}
@@ -173,26 +162,23 @@ class _RcChain:
             parent[i], i = root, parent[i]
         return root
 
-    def _boundary_near(self, pos) -> bool:
-        lo, hi, r = self.lo, self.hi, self.r
-        for k in range(self.dim):
-            if pos[k] - lo[k] <= r or hi[k] - pos[k] <= r:
-                return True
-        return False
-
-    def _dist2(self, p, q) -> float:
-        s = 0.0
-        for k in range(self.dim):
-            diff = p[k] - q[k]
-            s += diff * diff
-        return s
-
     def _neighbors(self, pos, exclude: int = -1) -> list[int]:
         out = []
         pos_map = self.pos
         r2 = self.r2
+        if self.dim != 2:
+            for j in self.grid.nearby(pos):
+                if j != exclude and self._dist2(pos, pos_map[j]) <= r2:
+                    out.append(j)
+            return out
+        # planar case with _dist2 inlined: this runs once for every cluster
+        # member that the split search of a death move visits
+        x, y = pos
         for j in self.grid.nearby(pos):
-            if j != exclude and self._dist2(pos, pos_map[j]) <= r2:
+            q = pos_map[j]
+            dx = x - q[0]
+            dy = y - q[1]
+            if dx * dx + dy * dy <= r2 and j != exclude:
                 out.append(j)
         return out
 
@@ -248,15 +234,21 @@ class _RcChain:
             self.size[rep] = len(part)
             self.touch[rep] = tc
 
-    def _split_parts(self, i: int, contacts: list[int]) -> list[set]:
-        """Connected parts of i's cluster after removing i (grid BFS)."""
+    def _split_parts(self, i: int, contacts: list[int]) -> list[set] | None:
+        """Connected parts of i's cluster after removing i (grid BFS).
+
+        None when the search from the first contact reaches every other
+        contact: the cluster then stays whole, and the search stops there.
+        """
         parts: list[set] = []
         assigned: set[int] = set()
+        unreached = set(contacts)
         for start in contacts:
             if start in assigned:
                 continue
             part = {start}
             stack = [start]
+            unreached.discard(start)
             while stack:
                 j = stack.pop()
                 pj = self.pos[j]
@@ -264,6 +256,10 @@ class _RcChain:
                     if k not in part and k not in assigned:
                         part.add(k)
                         stack.append(k)
+                        if k in unreached:
+                            unreached.discard(k)
+                            if not unreached and not parts:
+                                return None
             assigned |= part
             parts.append(part)
         return parts
@@ -336,14 +332,14 @@ class _RcChain:
         contacts = self._neighbors(self.pos[i], exclude=i)
         root = self.find(i)
         old_flag = 1 if self.touch[root] > 0 else 0
-        parts: list[set] | None = None
+        # None: i is isolated, or its cluster stays whole without it
+        parts = self._split_parts(i, contacts) if len(contacts) > 1 else None
         if len(contacts) == 0:
             delta_c = -1 + (1 if self.bnear[i] else 0)
-        elif len(contacts) == 1:
+        elif parts is None:
             new_touch = self.touch[root] - (1 if self.bnear[i] else 0)
             delta_c = old_flag - (1 if new_touch > 0 else 0)
         else:
-            parts = self._split_parts(i, contacts)
             new_touching = sum(
                 1 for part in parts if any(self.bnear[m] for m in part)
             )
@@ -357,7 +353,7 @@ class _RcChain:
         if len(contacts) == 0:
             self.free_count -= 1
             self.touching_count -= old_flag
-        elif len(contacts) == 1:
+        elif parts is None:
             self.touch[root] -= 1 if self.bnear[i] else 0
             new_flag = 1 if self.touch[root] > 0 else 0
             self.touching_count += new_flag - old_flag
@@ -378,11 +374,6 @@ class _RcChain:
             self._birth()
         else:
             self._death()
-
-    def moves_per_sweep(self) -> int:
-        if self.settings.moves_per_sweep is not None:
-            return self.settings.moves_per_sweep
-        return max(1, int(round(self.sweep_mass)))
 
     # -- views ---------------------------------------------------------------
 
@@ -416,7 +407,7 @@ class _RcChain:
                 )
             self._insert(p, roots, self._boundary_near(p), tval)
 
-    def assert_consistent(self) -> None:
+    def check_state(self) -> None:
         """Debug: the incremental count must match a from-scratch labeling."""
         conf = self.to_configuration()
         expected = rc_component_exponent(conf, self.params.a, self.params.window) + 1
@@ -441,22 +432,7 @@ def run_rc_chain(
         if len(init) and not params.window.contains(init.points).all():
             raise ValueError("initial state must lie inside the window")
         chain.load(init)
-    moves = chain.moves_per_sweep()
-    records = []
-    for sweep in range(settings.sweeps):
-        for _ in range(moves):
-            chain.step()
-        if sweep >= settings.burn_in and (sweep - settings.burn_in) % settings.thinning == 0:
-            if settings.debug_checks:
-                chain.assert_consistent()
-            if record is not None:
-                records.append(record(chain))
-    info = {
-        "proposed": dict(chain.proposed),
-        "accepted": dict(chain.accepted),
-        "moves_per_sweep": moves,
-        "final_n": chain.n,
-    }
+    records, info = chain.run(record)
     return records, chain.to_configuration(), info
 
 
@@ -464,13 +440,8 @@ def step_rc_mcmc(
     state: Configuration, params: RCParams, settings: MCMCSettings, seed=0
 ) -> Configuration:
     """One elementary birth/death transition of the weighted chain."""
-    rng = as_generator(seed)
-    chain = _RcChain(params, settings, rng)
-    if len(state) and not params.window.contains(state.points).all():
-        raise ValueError("state must lie inside the window")
-    chain.load(state)
-    chain.step()
-    return chain.to_configuration()
+    _, final, _ = run_rc_chain(params, _single_move(settings), seed, init=state)
+    return final
 
 
 def sample_rc_by_color_dropping(
@@ -646,6 +617,50 @@ def estimate_merge_bound(d: int, a: float, probes: int = 100000, seed=0) -> int:
     return best
 
 
+def boundary_connected_chain(
+    params: RCParams, delta: Window, settings: MCMCSettings, seed
+) -> tuple[EstimateWithError, float]:
+    """One weighted chain: batch means of the boundary-connected count in
+    ``delta``; returns the estimate and its batch lag-1 autocorrelation."""
+    dlo = delta.lower.tolist()
+    dhi = delta.upper.tolist()
+    records, _, _ = run_rc_chain(
+        params,
+        settings,
+        seed,
+        record=lambda ch: ch.boundary_connected_in(dlo, dhi),
+    )
+    return batch_means(records, settings.batch_count)
+
+
+def thinned_poisson_values(
+    params: RCParams, tau: float, stats: list[IncreasingStatistic], draws: int, seed
+) -> dict[str, list[float]]:
+    """Each statistic on ``draws`` independent Poisson draws at activity
+    ``tau * z`` (one generator for all draws)."""
+    rng = as_generator(seed)
+    values = {s.name: [] for s in stats}
+    for _ in range(draws):
+        conf = sample_poisson(params.env, params.window, tau * params.z, rng)
+        for s in stats:
+            values[s.name].append(s(conf))
+    return values
+
+
+def statistic_chain(
+    params: RCParams, stats: list[IncreasingStatistic], settings: MCMCSettings, seed
+) -> dict[str, EstimateWithError]:
+    """One weighted chain: the batch-means estimate of each statistic over
+    the retained configurations."""
+    records, _, _ = run_rc_chain(
+        params, settings, seed, record=lambda ch: ch.to_configuration()
+    )
+    return {
+        s.name: batch_means([s(conf) for conf in records], settings.batch_count)[0]
+        for s in stats
+    }
+
+
 def check_es_identity(
     params: RCParams,
     delta: Window,
@@ -665,22 +680,15 @@ def check_es_identity(
     psi = estimate_order_parameter(
         params.as_wr(), delta, settings, replicates, wr_seed, mode="single"
     )
-    dlo = delta.lower.tolist()
-    dhi = delta.upper.tolist()
-    estimates = []
-    for child in spawn(rc_seed, replicates):
-        records, _, _ = run_rc_chain(
-            params,
-            settings,
-            child,
-            record=lambda ch: ch.boundary_connected_in(dlo, dhi),
-        )
-        est, _ = batch_means(records, settings.batch_count)
-        estimates.append(est)
-    nb = estimates[0] if len(estimates) == 1 else pool_independent(estimates, "replicate-variance")
+    nb = pool_independent(
+        [
+            boundary_connected_chain(params, delta, settings, child)[0]
+            for child in spawn(rc_seed, replicates)
+        ]
+    )
     difference = psi.value - nb.value
     combined = math.hypot(psi.stderr, nb.stderr)
-    sigma_units = abs(difference) / combined if combined > 0 else (0.0 if difference == 0 else math.inf)
+    sigma_units = combined_sigma(psi, nb)
     return {
         "order_parameter": psi.as_dict(),
         "boundary_connected": nb.as_dict(),
@@ -711,29 +719,14 @@ def check_domination(
     if not stats:
         raise ValueError("need at least one increasing statistic")
     poisson_seed, rc_seed = spawn(seed, 2)
-    rng = as_generator(poisson_seed)
-    poisson_values = {s.name: [] for s in stats}
-    for _ in range(poisson_draws):
-        conf = sample_poisson(params.env, params.window, dom.tau * params.z, rng)
-        for s in stats:
-            poisson_values[s.name].append(s(conf))
-    chain_estimates = {s.name: [] for s in stats}
-    for child in spawn(rc_seed, replicates):
-        records, _, _ = run_rc_chain(
-            params,
-            settings,
-            child,
-            record=lambda ch: ch.to_configuration(),
-        )
-        for s in stats:
-            values = [s(conf) for conf in records]
-            est, _ = batch_means(values, settings.batch_count)
-            chain_estimates[s.name].append(est)
+    poisson_values = thinned_poisson_values(params, dom.tau, stats, poisson_draws, poisson_seed)
+    chain_means = [
+        statistic_chain(params, stats, settings, child) for child in spawn(rc_seed, replicates)
+    ]
     report = {"tau": dom.tau, "merge_bound": dom.merge_bound, "statistics": {}, "pass": True}
     for s in stats:
         left = summarize_replicates(poisson_values[s.name])
-        rights = chain_estimates[s.name]
-        right = rights[0] if len(rights) == 1 else pool_independent(rights, "replicate-variance")
+        right = pool_independent([means[s.name] for means in chain_means])
         combined = math.hypot(left.stderr, right.stderr)
         ok = left.value <= right.value + 3.0 * combined
         report["statistics"][s.name] = {

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, default_delta
 from .geometry import Window
 from .intensity import (
     ManhattanGrid,
@@ -37,22 +37,18 @@ from .percolation import estimate_crossing_probability, threshold_from_rows, Sca
 from .random_cluster import (
     DominationConfig,
     RCParams,
-    estimate_merge_bound,
-    run_rc_chain,
+    boundary_connected_chain,
+    merge_bound_cap,
+    statistic_chain,
+    thinned_poisson_values,
 )
-from .rng import as_generator, seed_sequence
-from .stats import (
-    EstimateWithError,
-    summarize_binomial,
-    summarize_replicates,
-    wilson_interval,
-    batch_means,
-)
+from .rng import seed_sequence
+from .stats import combined_sigma, pool_replicates, summarize_binomial, wilson_interval
 from .wr_gibbs import (
     PLUS_WIRED,
     WRParams,
     dlr_consistency_check,
-    run_wr_chain,
+    order_parameter_chain,
 )
 
 
@@ -146,37 +142,14 @@ def _rep_wr_order_parameter(cfg: ExperimentConfig, index: int) -> dict:
     k = 0
     for window in windows:
         env = _env_for(cfg, window, env_seed)
-        delta = cfg.delta
-        if delta is None or not window.contains_window(delta):
-            side = min(1.0, float(window.sides.min()) / 5.0)
-            center = (window.lower + window.upper) / 2.0
-            delta = Window(center - side / 2.0, center + side / 2.0)
+        delta = cfg.delta if cfg.delta is not None else default_delta(window)
         for z in cfg.z_grid:
-            params = WRParams(cfg.a, z, env, window)
-            if z == 0.0:
-                cells.append(
-                    {"L": float(window.sides[0]), "z": z, "psi": 0.0, "stderr": 0.0, "retained": 1}
-                )
-                k += 1
-                continue
-            records, _, _ = run_wr_chain(
-                params,
-                PLUS_WIRED,
-                cfg.settings,
-                children[k],
-                record=lambda ch: ch.order_parameter_value(),
-                count_box=delta,
-            )
-            est, _ = batch_means(records, cfg.settings.batch_count)
-            cells.append(
-                {
-                    "L": float(window.sides[0]),
-                    "z": z,
-                    "psi": est.value,
-                    "stderr": est.stderr,
-                    "retained": est.n,
-                }
-            )
+            cell = {"L": float(window.sides[0]), "z": z, "psi": 0.0, "stderr": 0.0, "retained": 1}
+            if z != 0.0:
+                params = WRParams(cfg.a, z, env, window)
+                est, _ = order_parameter_chain(params, delta, cfg.settings, children[k])
+                cell.update(psi=est.value, stderr=est.stderr, retained=est.n)
+            cells.append(cell)
             k += 1
     return {"index": index, "cells": cells}
 
@@ -184,40 +157,17 @@ def _rep_wr_order_parameter(cfg: ExperimentConfig, index: int) -> dict:
 def _rep_rc_check(cfg: ExperimentConfig, index: int) -> dict:
     seed = _replicate_seed(cfg, index)
     env = _env_for(cfg, cfg.window, seed_sequence(cfg.seed, cfg.hash(), "env", index))
-    delta = cfg.delta
     cells = []
     children = seed.spawn(2 * len(cfg.z_grid))
     for i, z in enumerate(cfg.z_grid):
-        wr_params = WRParams(cfg.a, z, env, cfg.window)
-        rc_params = RCParams(cfg.a, z, env, cfg.window)
         if z == 0.0:
             cells.append({"z": z, "psi": 0.0, "psi_se": 0.0, "nb": 0.0, "nb_se": 0.0})
             continue
-        records, _, _ = run_wr_chain(
-            wr_params,
-            PLUS_WIRED,
-            cfg.settings,
-            children[2 * i],
-            record=lambda ch: ch.order_parameter_value(),
-            count_box=delta,
-        )
-        psi, _ = batch_means(records, cfg.settings.batch_count)
-        dlo, dhi = delta.lower.tolist(), delta.upper.tolist()
-        nb_records, _, _ = run_rc_chain(
-            rc_params,
-            cfg.settings,
-            children[2 * i + 1],
-            record=lambda ch: ch.boundary_connected_in(dlo, dhi),
-        )
-        nb, _ = batch_means(nb_records, cfg.settings.batch_count)
+        rc_params = RCParams(cfg.a, z, env, cfg.window)
+        psi, _ = order_parameter_chain(rc_params.as_wr(), cfg.delta, cfg.settings, children[2 * i])
+        nb, _ = boundary_connected_chain(rc_params, cfg.delta, cfg.settings, children[2 * i + 1])
         cells.append(
-            {
-                "z": z,
-                "psi": psi.value,
-                "psi_se": psi.stderr,
-                "nb": nb.value,
-                "nb_se": nb.stderr,
-            }
+            {"z": z, "psi": psi.value, "psi_se": psi.stderr, "nb": nb.value, "nb_se": nb.stderr}
         )
     return {"index": index, "cells": cells}
 
@@ -270,26 +220,17 @@ def _rep_domination_check(cfg: ExperimentConfig, index: int) -> dict:
     cells = []
     children = seed.spawn(2 * len(cfg.z_grid))
     for i, z in enumerate(cfg.z_grid):
-        rng = as_generator(children[2 * i])
-        poisson_values = {s.name: [] for s in stats}
-        for _ in range(draws):
-            conf = sample_poisson(env, cfg.window, tau * z, rng)
-            for s in stats:
-                poisson_values[s.name].append(s(conf))
-        rc_params = RCParams(cfg.a, z, env, cfg.window)
-        records, _, _ = run_rc_chain(
-            rc_params, cfg.settings, children[2 * i + 1], record=lambda ch: ch.to_configuration()
-        )
+        params = RCParams(cfg.a, z, env, cfg.window)
+        poisson_values = thinned_poisson_values(params, tau, stats, draws, children[2 * i])
+        rc_means = statistic_chain(params, stats, cfg.settings, children[2 * i + 1])
         cell = {"z": z, "draws": draws, "stats": {}}
         for s in stats:
-            values = [s(conf) for conf in records]
-            est, _ = batch_means(values, cfg.settings.batch_count)
             pv = poisson_values[s.name]
             cell["stats"][s.name] = {
                 "poisson_mean": float(np.mean(pv)),
                 "poisson_sq": float(np.mean(np.square(pv))),
-                "rc_value": est.value,
-                "rc_se": est.stderr,
+                "rc_value": rc_means[s.name].value,
+                "rc_se": rc_means[s.name].stderr,
             }
         cells.append(cell)
     return {"index": index, "tau": tau, "merge_bound": merge_bound, "cells": cells}
@@ -365,16 +306,8 @@ _REPLICATE_PHASE = {
 
 
 def _resolve_tau(cfg: ExperimentConfig) -> tuple[float, int]:
-    """(tau, merge bound) from config, estimating the bound when absent."""
-    if cfg.merge_bound is not None:
-        k = cfg.merge_bound
-    else:
-        k = (
-            estimate_merge_bound(
-                min(cfg.dim, 2), cfg.a, probes=100000, seed=seed_sequence(cfg.seed, "merge-bound")
-            )
-            + 1
-        )
+    """(tau, merge bound) from config; the bound defaults to the packing cap."""
+    k = cfg.merge_bound if cfg.merge_bound is not None else merge_bound_cap(cfg.dim)
     tau = cfg.tau if cfg.tau is not None else 2.0 ** (-k)
     DominationConfig(tau, k)  # validates tau <= 2^-k
     return tau, k
@@ -409,10 +342,7 @@ def _sum_percolation_scan(cfg: ExperimentConfig, records: list[dict]):
             successes = int(crossings[:, zi].sum())
             est = summarize_binomial(successes, n)
             lo, hi = wilson_interval(successes, n, 0.99)
-            if n >= 2:
-                frac = summarize_replicates(largest[:, zi])
-            else:
-                frac = EstimateWithError(float(largest[:, zi].mean()), 0.0, n, "replicate-variance")
+            frac = pool_replicates(largest[:, zi])
             rows.append(
                 [
                     cfg.model_name,
@@ -446,13 +376,8 @@ def _sum_wr_order_parameter(cfg: ExperimentConfig, records: list[dict]):
         ses = [rec["cells"][ci]["stderr"] for rec in records]
         L = cells0[ci]["L"]
         z = cells0[ci]["z"]
-        if len(values) >= 2:
-            pooled = summarize_replicates(values)
-            method = "replicate-variance"
-        else:
-            pooled = EstimateWithError(values[0], ses[0], 1, "batch-means")
-            method = "batch-means"
-        rows.append([cfg.model_name, z, L, len(values), pooled.value, pooled.stderr, method])
+        pooled = pool_replicates(values, ses)
+        rows.append([cfg.model_name, z, L, len(values), pooled.value, pooled.stderr, pooled.method])
     return header, rows, {}, {}
 
 
@@ -476,15 +401,9 @@ def _sum_rc_check(cfg: ExperimentConfig, records: list[dict]):
         nbs = [rec["cells"][zi]["nb"] for rec in records]
         nb_ses = [rec["cells"][zi]["nb_se"] for rec in records]
         r = len(records)
-        if r >= 2:
-            psi = summarize_replicates(psis)
-            nb = summarize_replicates(nbs)
-        else:
-            psi = EstimateWithError(psis[0], psi_ses[0], 1, "batch-means")
-            nb = EstimateWithError(nbs[0], nb_ses[0], 1, "batch-means")
-        combined = math.hypot(psi.stderr, nb.stderr)
-        diff = abs(psi.value - nb.value)
-        sigma = diff / combined if combined > 0 else (0.0 if diff == 0 else math.inf)
+        psi = pool_replicates(psis, psi_ses)
+        nb = pool_replicates(nbs, nb_ses)
+        sigma = combined_sigma(psi, nb)
         ok = sigma <= 3.0
         criteria[f"identity_z_{z:g}"] = bool(ok)
         rows.append(
@@ -528,10 +447,7 @@ def _sum_domination_check(cfg: ExperimentConfig, records: list[dict]):
             second = float(np.mean(p_sqs))
             var = max(0.0, second - mean * mean)
             p_se = math.sqrt(var / draws) if draws > 1 else 0.0
-            if len(rc_vals) >= 2:
-                rc = summarize_replicates(rc_vals)
-            else:
-                rc = EstimateWithError(rc_vals[0], rc_ses[0], 1, "batch-means")
+            rc = pool_replicates(rc_vals, rc_ses)
             combined = math.hypot(p_se, rc.stderr)
             ok = mean <= rc.value + 3.0 * combined
             margin = (rc.value - mean) / combined if combined > 0 else math.inf
@@ -560,7 +476,7 @@ def _sum_env_validate(cfg: ExperimentConfig, records: list[dict]):
     z = cfg.z_grid[0]
     counts = [rec["count"] for rec in records]
     expected_density = _closed_form_mean_density(cfg)
-    count_est = summarize_replicates(counts) if len(counts) >= 2 else EstimateWithError(float(counts[0]), 0.0, 1, "replicate-variance")
+    count_est = pool_replicates(counts)
     if expected_density is not None:
         expected = z * expected_density * cfg.window.volume
         se = max(count_est.stderr, 1e-12)
@@ -569,7 +485,7 @@ def _sum_env_validate(cfg: ExperimentConfig, records: list[dict]):
         rows.append([cfg.model_name, len(records), "count_mean", count_est.value, count_est.stderr, expected, ok])
     if "edge_length" in records[0]:
         lengths = [rec["edge_length"] / cfg.window.volume for rec in records]
-        est = summarize_replicates(lengths) if len(lengths) >= 2 else EstimateWithError(lengths[0], 0.0, 1, "replicate-variance")
+        est = pool_replicates(lengths)
         if expected_density is not None:
             ok = abs(est.value - expected_density) <= 3.0 * max(est.stderr, 1e-12)
             criteria["edge_length_intensity"] = bool(ok)
@@ -658,18 +574,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunMani
         finished_at=None,
         resolved_config=cfg.raw,
     )
-    records: list[dict] = []
-    failure: Exception | None = None
-    try:
-        if cfg.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                records = list(pool.map(_worker_task, [(cfg, i) for i in indices]))
-        else:
-            for i in indices:
-                records.append(_REPLICATE_PHASE[cfg.kind](cfg, i))
-    except Exception as exc:  # flush partials, mark incomplete
-        failure = exc
+    # every replicate runs; a failed one is recorded, and the finished ones
+    # are flushed as partials whatever the worker count
+    outcomes: dict = {}
+    if cfg.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = {pool.submit(_worker_task, (cfg, i)): i for i in indices}
+            for future in concurrent.futures.as_completed(futures):
+                error = future.exception()
+                outcomes[futures[future]] = future.result() if error is None else error
+    else:
+        for i in indices:
+            try:
+                outcomes[i] = _REPLICATE_PHASE[cfg.kind](cfg, i)
+            except Exception as exc:
+                outcomes[i] = exc
+    records = [rec for rec in outcomes.values() if not isinstance(rec, BaseException)]
     records.sort(key=lambda rec: rec.get("index", 0))
+    failed = sorted(i for i, rec in outcomes.items() if isinstance(rec, BaseException))
+    failure = outcomes[failed[0]] if failed else None
 
     jsonl_path = os.path.join(out, "replicates.jsonl")
     csv_path = os.path.join(out, "results.csv")
@@ -677,12 +600,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunMani
 
     if failure is not None:
         manifest.incomplete = True
-        _write_jsonl(jsonl_path, cfg, records, {}, {"error": str(failure)})
+        _write_jsonl(
+            jsonl_path, cfg, records, {}, {"error": str(failure), "failed_replicates": failed}
+        )
         manifest.finished_at = datetime.now(timezone.utc).isoformat()
         manifest.output_files = ["replicates.jsonl"]
         with open(manifest_path, "w") as fh:
             json.dump(manifest.as_dict(), fh, indent=2, sort_keys=True)
-        raise RunnerFailure(f"replicate failed: {failure}") from failure
+        raise RunnerFailure(f"replicate {failed[0]} failed: {failure}") from failure
 
     header, rows, criteria, summary = _SUMMARIZE_PHASE[cfg.kind](cfg, records)
     _write_csv(csv_path, header, rows, cfg.hash())

@@ -114,18 +114,34 @@ def summarize_estimates(data, method: str, batch_count: int = 16) -> EstimateWit
     raise ValueError(f"unknown method {method!r}")
 
 
-def pool_independent(estimates: list[EstimateWithError], method: str) -> EstimateWithError:
-    """Pool estimates from independent replicates (equal weights)."""
+def pool_replicates(values, stderrs=None) -> EstimateWithError:
+    """Replicate variance over two or more independent replicate values.
+
+    A single replicate keeps its own error: its batch-means ``stderrs[0]``
+    when given, otherwise 0 (one draw carries no spread estimate).
+    """
+    if len(values) >= 2:
+        return summarize_replicates(values)
+    if stderrs is not None:
+        return EstimateWithError(float(values[0]), float(stderrs[0]), 1, "batch-means")
+    return EstimateWithError(float(values[0]), 0.0, 1, "replicate-variance")
+
+
+def pool_independent(estimates: list[EstimateWithError]) -> EstimateWithError:
+    """Pool batch-means estimates from independent chains (equal weights).
+
+    The pooled stderr combines the per-chain batch-means errors, so the
+    result is labelled "batch-means" whatever the number of chains.
+    """
     if not estimates:
         raise ValueError("nothing to pool")
     if len(estimates) == 1:
-        e = estimates[0]
-        return EstimateWithError(e.value, e.stderr, e.n, method)
+        return estimates[0]
     values = [e.value for e in estimates]
     r = len(values)
     se = math.sqrt(sum(e.stderr**2 for e in estimates)) / r
     n = sum(e.n for e in estimates)
-    return EstimateWithError(float(np.mean(values)), se, n, method)
+    return EstimateWithError(float(np.mean(values)), se, n, "batch-means")
 
 
 def combined_sigma(a: EstimateWithError, b: EstimateWithError) -> float:

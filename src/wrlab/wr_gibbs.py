@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Configuration, GridIndex, Window
-from .intensity import EnvironmentRealization, dominating_measure, sample_poisson
+from .intensity import EnvironmentRealization, dominating_measure, sample_poisson, total_mass
 from .rng import UniformBlocks, as_generator, spawn
 from .stats import EstimateWithError, batch_means, pool_independent
 
@@ -226,7 +226,92 @@ def sample_wr_rejection(
     raise RejectionBudgetError(max_attempts)
 
 
-class _WrChain:
+class _BirthDeathChain:
+    """Set-up and sweep schedule shared by the two-colored and weighted chains.
+
+    Subclasses provide ``step`` (one elementary move), ``check_state`` (the
+    ``debug_checks`` invariant), ``n`` and the ``proposed``/``accepted``
+    move counters.
+    """
+
+    def __init__(
+        self,
+        params,
+        settings: MCMCSettings,
+        rng: np.random.Generator,
+        color_doubled: bool,
+    ):
+        self.params = params
+        self.settings = settings
+        self.r = 2.0 * params.a
+        self.r2 = self.r * self.r
+        self.dim = params.window.dim
+        self.lo = params.window.lower.tolist()
+        self.hi = params.window.upper.tolist()
+        self.total, self.draw, self.thin = dominating_measure(
+            params.env, params.window, params.z, color_doubled=color_doubled
+        )
+        # sweep length tracks the expected point count, not the dominating
+        # mass (which can be far larger for peaked densities)
+        if self.thin is None:
+            self.sweep_mass = self.total
+        else:
+            colors = 2.0 if color_doubled else 1.0
+            self.sweep_mass = colors * params.z * total_mass(params.env, params.window)
+        self.grid = GridIndex(params.window, self.r)
+        self.ub = UniformBlocks(rng)
+
+    def _boundary_near(self, pos) -> bool:
+        lo, hi, r = self.lo, self.hi, self.r
+        for k in range(self.dim):
+            if pos[k] - lo[k] <= r or hi[k] - pos[k] <= r:
+                return True
+        return False
+
+    def _dist2(self, p, q) -> float:
+        s = 0.0
+        for k in range(self.dim):
+            diff = p[k] - q[k]
+            s += diff * diff
+        return s
+
+    def moves_per_sweep(self) -> int:
+        if self.settings.moves_per_sweep is not None:
+            return self.settings.moves_per_sweep
+        return max(1, int(round(self.sweep_mass)))
+
+    def run(self, record) -> tuple[list, dict]:
+        """Sweep per the settings; ``record(chain)`` at every retained sweep.
+
+        Returns the records and the info dict of move counts.
+        """
+        settings = self.settings
+        moves = self.moves_per_sweep()
+        step = self.step
+        records = []
+        for sweep in range(settings.sweeps):
+            for _ in range(moves):
+                step()
+            if sweep >= settings.burn_in and (sweep - settings.burn_in) % settings.thinning == 0:
+                if settings.debug_checks:
+                    self.check_state()
+                if record is not None:
+                    records.append(record(self))
+        info = {
+            "proposed": dict(self.proposed),
+            "accepted": dict(self.accepted),
+            "moves_per_sweep": moves,
+            "final_n": self.n,
+        }
+        return records, info
+
+
+def _single_move(settings: MCMCSettings) -> MCMCSettings:
+    """The schedule of one elementary move whose end state is recorded."""
+    return replace(settings, sweeps=1, burn_in=0, thinning=1, moves_per_sweep=1)
+
+
+class _WrChain(_BirthDeathChain):
     """Mutable chain state: positions, colors, grid index, and box counters."""
 
     def __init__(
@@ -237,26 +322,9 @@ class _WrChain:
         rng: np.random.Generator,
         audit_birth_factor: float = 1.0,
     ):
-        self.params = params
-        self.settings = settings
+        super().__init__(params, settings, rng, color_doubled=True)
         self.a = params.a
-        self.r = 2.0 * params.a
-        self.r2 = self.r * self.r
-        self.dim = params.window.dim
         self.wired = wired_color(boundary)
-        self.lo = params.window.lower.tolist()
-        self.hi = params.window.upper.tolist()
-        self.total, self.draw, self.thin = dominating_measure(
-            params.env, params.window, params.z, color_doubled=True
-        )
-        # sweep length tracks the expected point count, not the dominating
-        # mass (which can be far larger for peaked densities)
-        if self.thin is None:
-            self.sweep_mass = self.total
-        else:
-            from .intensity import total_mass
-
-            self.sweep_mass = 2.0 * params.z * total_mass(params.env, params.window)
         mix = settings.move_mix
         self.c_birth = mix[0]
         self.c_death = mix[0] + mix[1]
@@ -267,8 +335,6 @@ class _WrChain:
         # so a factor f makes the chain target activity f * z exactly; the
         # consistency check uses it as its corrupted-kernel negative control
         self.audit = audit_birth_factor
-        self.grid = GridIndex(params.window, self.r)
-        self.ub = UniformBlocks(rng)
         self.xs: list[tuple] = []
         self.cols: list[int] = []
         self.bnear: list[bool] = []
@@ -279,13 +345,6 @@ class _WrChain:
         self.proposed = {"birth": 0, "death": 0, "recolor": 0}
 
     # -- bookkeeping ------------------------------------------------------
-
-    def _boundary_near(self, pos) -> bool:
-        lo, hi, r = self.lo, self.hi, self.r
-        for k in range(self.dim):
-            if pos[k] - lo[k] <= r or hi[k] - pos[k] <= r:
-                return True
-        return False
 
     def register_count_box(self, delta: Window) -> None:
         self.box = (delta.lower.tolist(), delta.upper.tolist())
@@ -342,13 +401,6 @@ class _WrChain:
         return self.box_counts[0] - self.box_counts[1]
 
     # -- moves -------------------------------------------------------------
-
-    def _dist2(self, p, q) -> float:
-        s = 0.0
-        for k in range(self.dim):
-            diff = p[k] - q[k]
-            s += diff * diff
-        return s
 
     def _birth(self) -> None:
         self.proposed["birth"] += 1
@@ -502,12 +554,7 @@ class _WrChain:
         else:
             self._recolor()
 
-    def moves_per_sweep(self) -> int:
-        if self.settings.moves_per_sweep is not None:
-            return self.settings.moves_per_sweep
-        return max(1, int(round(self.sweep_mass)))
-
-    def assert_viable(self) -> None:
+    def check_state(self) -> None:
         conf = self.to_marked_configuration()
         boundary = (
             FREE
@@ -544,22 +591,7 @@ def run_wr_chain(
         if not is_viable(init, params.a, boundary, params.window):
             raise ValueError("initial state is not viable")
         chain.load(init)
-    moves = chain.moves_per_sweep()
-    records = []
-    for sweep in range(settings.sweeps):
-        for _ in range(moves):
-            chain.step()
-        if sweep >= settings.burn_in and (sweep - settings.burn_in) % settings.thinning == 0:
-            if settings.debug_checks:
-                chain.assert_viable()
-            if record is not None:
-                records.append(record(chain))
-    info = {
-        "proposed": dict(chain.proposed),
-        "accepted": dict(chain.accepted),
-        "moves_per_sweep": moves,
-        "final_n": chain.n,
-    }
+    records, info = chain.run(record)
     return records, chain.to_marked_configuration(), info
 
 
@@ -572,13 +604,15 @@ def step_wr_mcmc(
     audit_birth_factor: float = 1.0,
 ) -> MarkedConfiguration:
     """One elementary transition of the chain from a viable state."""
-    if not is_viable(state, params.a, boundary, params.window):
-        raise ValueError("input state is not viable")
-    rng = as_generator(seed)
-    chain = _WrChain(params, boundary, settings, rng, audit_birth_factor)
-    chain.load(state)
-    chain.step()
-    return chain.to_marked_configuration()
+    _, final, _ = run_wr_chain(
+        params,
+        boundary,
+        _single_move(settings),
+        seed,
+        init=state,
+        audit_birth_factor=audit_birth_factor,
+    )
+    return final
 
 
 def birth_death_log_ratio(n: int, total_mass: float) -> float:
@@ -587,6 +621,24 @@ def birth_death_log_ratio(n: int, total_mass: float) -> float:
     if total_mass <= 0:
         return -math.inf
     return math.log(total_mass) - math.log(n + 1)
+
+
+def order_parameter_chain(
+    params: WRParams, delta: Window, settings: MCMCSettings, seed
+) -> tuple[EstimateWithError, float]:
+    """One plus-wired chain: batch means of ``n_plus - n_minus`` in ``delta``.
+
+    Returns the estimate and the lag-1 autocorrelation of its batch series.
+    """
+    records, _, _ = run_wr_chain(
+        params,
+        PLUS_WIRED,
+        settings,
+        seed,
+        record=lambda ch: ch.order_parameter_value(),
+        count_box=delta,
+    )
+    return batch_means(records, settings.batch_count)
 
 
 def estimate_order_parameter(
@@ -603,9 +655,9 @@ def estimate_order_parameter(
     ``single`` runs one plus-wired chain per replicate and averages
     ``n_plus - n_minus``; ``two-chain`` runs plus- and minus-wired chains and
     differences the plus counts (equal in law by color symmetry, exposed as a
-    cross-check).  Batch-means errors per chain, replicate variance across
-    chains; a lag-1 batch autocorrelation above 0.5 warns (or raises when
-    ``strict``).
+    cross-check).  The error is batch means per chain, pooled across
+    replicate chains (:func:`pool_independent`); a lag-1 batch
+    autocorrelation above 0.5 warns (or raises when ``strict``).
     """
     if mode not in ("single", "two-chain"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -618,15 +670,7 @@ def estimate_order_parameter(
     flagged = False
     for child in children:
         if mode == "single":
-            records, _, _ = run_wr_chain(
-                params,
-                PLUS_WIRED,
-                settings,
-                child,
-                record=lambda ch: ch.order_parameter_value(),
-                count_box=delta,
-            )
-            est, lag1 = batch_means(records, settings.batch_count)
+            est, lag1 = order_parameter_chain(params, delta, settings, child)
             flagged = flagged or lag1 > 0.5
             estimates.append(est)
         else:
@@ -658,9 +702,7 @@ def estimate_order_parameter(
         if strict:
             raise ChainDiagnosticsError(message)
         warnings.warn(message, RuntimeWarning)
-    if len(estimates) == 1:
-        return estimates[0]
-    return pool_independent(estimates, "replicate-variance")
+    return pool_independent(estimates)
 
 
 def _delta_statistics(positions: np.ndarray, colors: np.ndarray, delta: Window, r: float) -> tuple:

@@ -378,3 +378,75 @@ def test_cli_workers_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv("WRLAB_WORKERS")
     assert main(["percolation-scan", "--config", good, "--out", str(tmp_path / "w1")]) == 0
     assert digest(f"{tmp_path}/w1/results.csv") == digest(f"{tmp_path}/w2/results.csv")
+
+
+def test_validate_rejects_domination_check_outside_the_plane(tmp_path):
+    path = write_config(
+        tmp_path,
+        """
+        [experiment]
+        kind = domination-check
+        seed = 1
+
+        [environment]
+        model = lebesgue
+
+        [geometry]
+        dim = 3
+        a = 0.5
+        window_size = 6
+        """,
+    )
+    assert main(["validate", "--config", path]) == 2
+
+
+def test_delta_size_is_centred_and_delta_must_fit_every_window(tmp_path):
+    base = """
+    [experiment]
+    kind = {kind}
+    seed = 1
+
+    [environment]
+    model = lebesgue
+
+    [geometry]
+    a = 0.5
+    {geometry}
+
+    [schedule]
+    L_list = 4 8
+    """
+
+    def load(kind, geometry, name):
+        return load_config(write_config(tmp_path, base.format(kind=kind, geometry=geometry), name))
+
+    cfg = load("rc-check", "window_size = 8\n    delta_size = 1", "centred.cfg")
+    assert cfg.delta.lower.tolist() + cfg.delta.upper.tolist() == [3.5, 3.5, 4.5, 4.5]
+    with pytest.raises(ConfigError, match="delta as corners"):
+        load("wr-order-parameter", "delta_size = 1", "no_window.cfg")
+    with pytest.raises(ConfigError, match="every L_list window"):
+        load("wr-order-parameter", "delta = 4.5 4.5 5.5 5.5", "misfit.cfg")
+
+
+def test_failed_replicate_keeps_the_finished_ones_for_any_worker_count(tmp_path, monkeypatch):
+    import wrlab.runner as runner
+
+    original = runner._REPLICATE_PHASE["percolation-scan"]
+
+    def fail_one(cfg, index):
+        if index == 1:
+            raise RuntimeError("replicate 1 forced to fail")
+        return original(cfg, index)
+
+    # a forked worker inherits the patched table
+    monkeypatch.setitem(runner._REPLICATE_PHASE, "percolation-scan", fail_one)
+    outputs = []
+    for workers in (1, 2):
+        cfg = load_config(write_config(tmp_path, SCAN.format(reps=4, off=0)))
+        cfg.workers = workers
+        with pytest.raises(RunnerFailure, match="forced"):
+            run_experiment(cfg, str(tmp_path / f"w{workers}"))
+        outputs.append(tmp_path / f"w{workers}" / "replicates.jsonl")
+    kept = [json.loads(line) for line in outputs[0].read_text().splitlines()]
+    assert [rec["index"] for rec in kept if rec["record"] == "replicate"] == [0, 2, 3]
+    assert digest(outputs[0]) == digest(outputs[1])

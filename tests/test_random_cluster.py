@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from wrlab.geometry import Configuration, ConnectivityParams, Window, build_components
 from wrlab.intensity import HomogeneousLebesgue, VoronoiEdges, realize_environment
 from wrlab.random_cluster import (
+    _RcChain,
     DominationConfig,
     IncreasingStatistic,
     RCParams,
@@ -108,6 +110,40 @@ def test_incremental_count_consistent_over_segment_environment():
             )
             dists.append(best)
         assert max(dists) < 1e-9
+
+
+@hypothesis_settings(max_examples=40, deadline=None)
+@given(
+    sites=st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+    z=st.sampled_from([0.3, 1.0, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.integers(1, 150),
+)
+def test_incremental_count_matches_recount_after_every_move(sites, z, seed, moves):
+    # a = 0.5 on a 0.5-spaced lattice in [0, 4]^2: lattice points two steps
+    # apart, or one unit from the boundary, sit at exactly 2a
+    a = 0.5
+    win = Window.cube(4.0, 2)
+    env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
+    chain = _RcChain(RCParams(a=a, z=z, env=env, window=win), MCMCSettings(), as_generator(seed))
+    uniform_draw = chain.draw
+
+    def lattice_draw(ub):
+        # births land on free lattice sites, so ties also arise from moves
+        site = (0.5 * ub.next_index(9), 0.5 * ub.next_index(9))
+        return uniform_draw(ub) if site in chain.pos.values() else site
+
+    chain.draw = lattice_draw
+    chain.load(conf_of(sorted((0.5 * i, 0.5 * j) for i, j in sites)) if sites else Configuration.empty(2))
+
+    def assert_count_matches():
+        expected = rc_component_exponent(chain.to_configuration(), a, win) + 1
+        assert chain.wired_components == expected
+
+    assert_count_matches()
+    for _ in range(moves):
+        chain.step()
+        assert_count_matches()
 
 
 def _point_segment_distance(p, a, b):

@@ -90,8 +90,9 @@ def test_replicate_variance_matches_formula():
 def test_pool_independent_mean_of_equal_blocks():
     a = EstimateWithError(1.0, 0.1, 50, "batch-means")
     b = EstimateWithError(3.0, 0.1, 50, "batch-means")
-    pooled = pool_independent([a, b], "replicate-variance")
+    pooled = pool_independent([a, b])
     assert pooled.value == 2.0
+    assert pooled.method == "batch-means"
     assert abs(pooled.stderr - math.hypot(0.1, 0.1) / 2.0) < 1e-12
 
 
