@@ -47,7 +47,7 @@ from .intensity import (
     sample_poisson,
     total_mass,
 )
-from .stats import EstimateWithError, summarize_estimates, wilson_interval
+from .stats import EstimateWithError, wilson_interval
 from .wr_gibbs import (
     FREE,
     MINUS,

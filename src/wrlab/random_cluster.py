@@ -633,18 +633,23 @@ def boundary_connected_chain(
     return batch_means(records, settings.batch_count)
 
 
+def _evaluate(stats: list[IncreasingStatistic], confs) -> dict[str, list[float]]:
+    """Every statistic on each configuration, one configuration at a time."""
+    values = {s.name: [] for s in stats}
+    for conf in confs:
+        for s in stats:
+            values[s.name].append(s(conf))
+    return values
+
+
 def thinned_poisson_values(
     params: RCParams, tau: float, stats: list[IncreasingStatistic], draws: int, seed
 ) -> dict[str, list[float]]:
     """Each statistic on ``draws`` independent Poisson draws at activity
     ``tau * z`` (one generator for all draws)."""
     rng = as_generator(seed)
-    values = {s.name: [] for s in stats}
-    for _ in range(draws):
-        conf = sample_poisson(params.env, params.window, tau * params.z, rng)
-        for s in stats:
-            values[s.name].append(s(conf))
-    return values
+    draw = lambda: sample_poisson(params.env, params.window, tau * params.z, rng)
+    return _evaluate(stats, (draw() for _ in range(draws)))
 
 
 def statistic_chain(
@@ -655,10 +660,8 @@ def statistic_chain(
     records, _, _ = run_rc_chain(
         params, settings, seed, record=lambda ch: ch.to_configuration()
     )
-    return {
-        s.name: batch_means([s(conf) for conf in records], settings.batch_count)[0]
-        for s in stats
-    }
+    values = _evaluate(stats, records)
+    return {s.name: batch_means(values[s.name], settings.batch_count)[0] for s in stats}
 
 
 def check_es_identity(

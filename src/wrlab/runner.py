@@ -33,7 +33,7 @@ from .intensity import (
     sample_poisson,
     total_mass,
 )
-from .percolation import estimate_crossing_probability, threshold_from_rows, ScanRow
+from .percolation import estimate_crossing_probability, scan_rows, threshold_from_rows
 from .random_cluster import (
     DominationConfig,
     RCParams,
@@ -43,7 +43,7 @@ from .random_cluster import (
     thinned_poisson_values,
 )
 from .rng import seed_sequence
-from .stats import combined_sigma, pool_replicates, summarize_binomial, wilson_interval
+from .stats import combined_sigma, pool_replicates
 from .wr_gibbs import (
     PLUS_WIRED,
     WRParams,
@@ -174,7 +174,7 @@ def _rep_rc_check(cfg: ExperimentConfig, index: int) -> dict:
 
 def _domination_battery(cfg: ExperimentConfig):
     from .random_cluster import IncreasingStatistic
-    from .percolation import target_percolation_proxy
+    from .percolation import target_reach
     from .geometry import ConnectivityParams, build_components, has_crossing
 
     window, delta, a = cfg.window, cfg.delta, cfg.a
@@ -185,6 +185,15 @@ def _domination_battery(cfg: ExperimentConfig):
             lo = np.array([window.lower[0] if i == 0 else half[0], window.lower[1] if j == 0 else half[1]])
             hi = np.array([half[0] if i == 0 else window.upper[0], half[1] if j == 0 else window.upper[1]])
             quadrants.append(Window(lo, hi))
+
+    # the two connectivity statistics share one labeling per configuration;
+    # every caller evaluates the whole battery on one configuration at a time
+    last = [None, None]
+
+    def labeling(c):
+        if last[0] is not c:
+            last[:] = [c, build_components(c, ConnectivityParams(a), window)]
+        return last[1]
 
     stats = [IncreasingStatistic("total_count", lambda c: float(len(c)))]
     for q_index, quad in enumerate(quadrants):
@@ -197,17 +206,15 @@ def _domination_battery(cfg: ExperimentConfig):
     stats.append(
         IncreasingStatistic(
             "target_reach",
-            lambda c: 1.0 if target_percolation_proxy(c, a, window, delta) else 0.0,
+            lambda c: float(len(c) > 0 and target_reach(labeling(c), c, window, delta)),
         )
     )
-
-    def crossing_stat(c):
-        if len(c) == 0:
-            return 0.0
-        lab = build_components(c, ConnectivityParams(a), window)
-        return 1.0 if has_crossing(lab, c, window, 0) else 0.0
-
-    stats.append(IncreasingStatistic("crossing", crossing_stat))
+    stats.append(
+        IncreasingStatistic(
+            "crossing",
+            lambda c: float(len(c) > 0 and has_crossing(labeling(c), c, window, 0)),
+        )
+    )
     return stats
 
 
@@ -332,35 +339,16 @@ def _sum_percolation_scan(cfg: ExperimentConfig, records: list[dict]):
     rows = []
     thresholds = {}
     for li, L in enumerate(cfg.L_list):
-        crossings = np.array(
-            [rec["rows"][li]["crossed"] for rec in records], dtype=int
-        )
+        crossings = np.array([rec["rows"][li]["crossed"] for rec in records], dtype=int)
         largest = np.array([rec["rows"][li]["largest"] for rec in records])
-        scan_rows = []
-        for zi, z in enumerate(cfg.z_grid):
-            n = len(records)
-            successes = int(crossings[:, zi].sum())
-            est = summarize_binomial(successes, n)
-            lo, hi = wilson_interval(successes, n, 0.99)
-            frac = pool_replicates(largest[:, zi])
+        cells = scan_rows(cfg.z_grid, L, crossings, largest)
+        for row in cells:
+            frac = row.largest_fraction
             rows.append(
-                [
-                    cfg.model_name,
-                    z,
-                    L,
-                    n,
-                    est.value,
-                    lo,
-                    hi,
-                    frac.value,
-                    frac.stderr,
-                ]
-            )
-            scan_rows.append(
-                ScanRow(z, L, n, successes, est, (lo, hi), frac)
+                [cfg.model_name, row.z, L, row.replicates, row.crossing.value, *row.crossing_interval, frac.value, frac.stderr]
             )
         try:
-            thresholds[str(L)] = threshold_from_rows(scan_rows)
+            thresholds[str(L)] = threshold_from_rows(cells)
         except ValueError:
             thresholds[str(L)] = None
     summary = {"thresholds": thresholds}

@@ -1,8 +1,9 @@
 """Estimate cells and error estimators shared by all experiment pipelines.
 
-Three estimators cover every result in the package: Wilson intervals for
-binomial proportions, batch means for single-chain functionals, and the plain
-replicate variance for i.i.d. replicates.
+Four estimators cover every result in the package: Wilson intervals for
+binomial proportions, batch means for single-chain functionals, the plain
+replicate variance for i.i.d. replicates, and order statistics for quantiles
+of i.i.d. replicates.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-METHODS = ("batch-means", "replicate-variance", "wilson")
+METHODS = ("batch-means", "replicate-variance", "wilson", "order-statistic")
 
 
 @dataclass(frozen=True)
@@ -99,19 +100,22 @@ def summarize_replicates(values) -> EstimateWithError:
     return EstimateWithError(float(x.mean()), se, int(x.size), "replicate-variance")
 
 
-def summarize_estimates(data, method: str, batch_count: int = 16) -> EstimateWithError:
-    """Dispatching front end over the three estimators.
+def order_statistic_estimate(values, p: float) -> EstimateWithError:
+    """Empirical ``p``-quantile of i.i.d. values, with a distribution-free error.
 
-    ``wilson`` expects ``(successes, trials)``; the other two take a series.
+    The estimate is the ceil(n p)-th smallest value.  The stderr is half the
+    width of the order-statistic interval [X_(r), X_(s)], whose binomial ranks
+    cover the true quantile with probability at least 68.27% (one normal
+    sigma); it is inf when X_(s) is.
     """
-    if method == "wilson":
-        successes, trials = data
-        return summarize_binomial(int(successes), int(trials))
-    if method == "batch-means":
-        return batch_means(data, batch_count)[0]
-    if method == "replicate-variance":
-        return summarize_replicates(data)
-    raise ValueError(f"unknown method {method!r}")
+    x = np.sort(np.asarray(values, dtype=float))
+    n = x.size
+    tail = float(sps.norm.cdf(-1.0))
+    k = min(max(math.ceil(n * p), 1), n) - 1
+    lo = max(int(sps.binom.ppf(tail, n, p)), 1) - 1
+    hi = min(int(sps.binom.ppf(1.0 - tail, n, p)) + 1, n) - 1
+    half = 0.5 * float(x[hi] - x[lo]) if np.isfinite(x[hi]) else math.inf
+    return EstimateWithError(float(x[k]), half, n, "order-statistic")
 
 
 def pool_replicates(values, stderrs=None) -> EstimateWithError:

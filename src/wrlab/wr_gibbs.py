@@ -43,10 +43,6 @@ def wired_color(boundary: str) -> int | None:
     raise ValueError(f"unknown boundary condition {boundary!r}")
 
 
-def flip_boundary(boundary: str) -> str:
-    return {PLUS_WIRED: MINUS_WIRED, MINUS_WIRED: PLUS_WIRED, FREE: FREE}[boundary]
-
-
 @dataclass(frozen=True)
 class MarkedConfiguration:
     """Finite colored point set; colors are +1 (plus) and -1 (minus)."""
@@ -102,9 +98,6 @@ class MarkedConfiguration:
 
     def flipped(self) -> "MarkedConfiguration":
         return MarkedConfiguration(self.positions, -self.colors)
-
-    def drop_colors(self) -> Configuration:
-        return Configuration(self.positions.copy())
 
 
 @dataclass(frozen=True)

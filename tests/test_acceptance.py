@@ -163,7 +163,7 @@ def test_criterion_4_symmetry_breaking():
     a = 0.5
     model = HomogeneousLebesgue(1.0)
     threshold = estimate_critical_intensity(
-        model, a, L=16.0, target_prob=0.5, tolerance=0.1, seed=408001, replicates=120
+        model, a, L=16.0, target_prob=0.5, seed=408001, replicates=120
     )
     z_high = 4.0 * threshold.value
     z_low = threshold.value / 10.0
@@ -309,8 +309,7 @@ def test_criterion_6_percolation_scans():
     )
 
     pilot = estimate_critical_intensity(
-        VoronoiEdges(1.0), a, L=16.0, target_prob=0.5, tolerance=0.15,
-        seed=608002, replicates=100,
+        VoronoiEdges(1.0), a, L=16.0, target_prob=0.5, seed=608002, replicates=100
     )
     z_grid_vor = [round(pilot.value * f, 4) for f in (0.55, 0.7, 0.82, 0.94, 1.06, 1.2, 1.4, 1.7)]
     thr_vor, mono_vor = _scan_thresholds(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from wrlab.geometry import (
     ComponentLabeling,
@@ -88,6 +89,28 @@ def test_build_components_matches_brute_force_oracle():
                 fast.touches_boundary[fast.labels[i]]
                 == slow.touches_boundary[slow.labels[i]]
             )
+
+
+@hypothesis_settings(max_examples=150, deadline=None)
+@given(
+    sites=st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+    a=st.sampled_from([0.25, 0.5, 0.75]),
+    wired=st.booleans(),
+)
+def test_build_components_matches_brute_force_on_lattice_ties(sites, a, wired):
+    # a 0.5-spaced lattice in [0, 4]^2 puts pairs and boundary distances at
+    # exactly 2a for every radius drawn
+    win = Window.cube(4.0, 2)
+    pts = np.array(sorted((0.5 * i, 0.5 * j) for i, j in sites), dtype=float).reshape(-1, 2)
+    conf = Configuration(pts)
+    params = ConnectivityParams(a, wired=wired)
+    fast = build_components(conf, params, win)
+    slow = brute_force_components(conf, params, win)
+    assert fast.num_components_free == slow.num_components_free
+    assert fast.num_components_wired == slow.num_components_wired
+    assert canonical_labels(fast.labels) == canonical_labels(slow.labels)
+    for i in range(len(conf)):
+        assert fast.touches_boundary[fast.labels[i]] == slow.touches_boundary[slow.labels[i]]
 
 
 def test_wired_count_monotonicity_under_insertion():

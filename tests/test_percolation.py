@@ -1,15 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
+from scipy.spatial import cKDTree
 
+from wrlab import percolation
 from wrlab.geometry import Configuration, ConnectivityParams, Window, build_components, has_crossing
 from wrlab.intensity import HomogeneousLebesgue, VoronoiEdges
 from wrlab.percolation import (
+    crossing_level,
     estimate_critical_intensity,
     estimate_crossing_probability,
     largest_component_fraction,
+    largest_fraction,
     target_percolation_proxy,
     threshold_from_rows,
 )
+
+from helpers import reference_scan
 
 WIN = Window.cube(8.0, 2)
 
@@ -101,45 +110,83 @@ def test_threshold_requires_bracketing():
         threshold_from_rows(rows, 0.5)
 
 
-def test_critical_intensity_bisection_terminates_and_is_sane():
-    est = estimate_critical_intensity(
-        HomogeneousLebesgue(1.0), 0.5, 12.0, 0.5, tolerance=0.15, seed=5, replicates=60
+@hypothesis_settings(max_examples=150, deadline=None)
+@given(
+    sites=st.dictionaries(
+        st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        st.sampled_from([0.0, 1e-17, 2e-17, 0.25, 0.5, 0.9]),
+        max_size=30,
     )
+)
+def test_crossing_level_and_largest_fraction_match_labeling_each_subset(sites):
+    # a = 0.5 on a 0.5-spaced lattice in [0, 4]^2: lattice points two steps
+    # apart, or one unit from a face, sit at exactly 2a; u has ties, zeros,
+    # and values that 1 + u would not tell apart
+    a = 0.5
+    win = Window.cube(4.0, 2)
+    keys = sorted(sites)
+    points = np.array([(0.5 * i, 0.5 * j) for i, j in keys], dtype=float).reshape(-1, 2)
+    u = np.array([sites[k] for k in keys], dtype=float)
+    pairs = cKDTree(points).query_pairs(2.0 * a, output_type="ndarray")
+    levels = [crossing_level(points, u, pairs, win, a, axis) for axis in (0, 1)]
+    thresholds = {1.0}
+    for t in set(u.tolist()):
+        thresholds |= {t, float(np.nextafter(t, -math.inf))}
+    for t in sorted(thresholds):
+        conf = Configuration(points[u <= t])
+        labeling = build_components(conf, ConnectivityParams(a), win)
+        for axis in (0, 1):
+            assert (levels[axis] <= t) == has_crossing(labeling, conf, win, axis)
+        assert largest_fraction(u, pairs, t) == largest_component_fraction(conf, a, win)
+
+
+@pytest.mark.parametrize(
+    "model, z_grid, both_axes",
+    [
+        (HomogeneousLebesgue(1.0), [0.0, 0.6, 1.1, 1.5, 2.0], False),
+        (VoronoiEdges(1.0), [0.3, 0.6, 0.9, 1.3], True),
+    ],
+)
+def test_scan_matches_per_activity_reference(model, z_grid, both_axes):
+    rows, indicators = estimate_crossing_probability(
+        model, z_grid, 0.5, 8.0, 12, seed=11, both_axes=both_axes, return_indicators=True
+    )
+    ref_rows, ref_indicators = reference_scan(model, z_grid, 0.5, 8.0, 12, seed=11, both_axes=both_axes)
+    assert np.array_equal(indicators, ref_indicators)
+    assert rows == ref_rows
+
+
+def test_critical_intensity_quantile_is_sane():
+    est = estimate_critical_intensity(HomogeneousLebesgue(1.0), 0.5, 12.0, 0.5, seed=5, replicates=60)
     # the known continuum threshold for this radius is about 1.44
     assert 0.7 < est.value < 2.5
     assert est.stderr > 0.0
+    assert est.method == "order-statistic" and est.n == 60
 
 
-def test_critical_intensity_rejects_bad_bracket():
-    with pytest.raises(ValueError, match="bracket"):
-        estimate_critical_intensity(
-            HomogeneousLebesgue(1.0),
-            0.5,
-            10.0,
-            0.5,
-            tolerance=0.1,
-            seed=2,
-            replicates=40,
-            z_bracket=(8.0, 12.0),
-        )
-    with pytest.raises(ValueError):
-        estimate_critical_intensity(
-            HomogeneousLebesgue(1.0), 0.5, 10.0, 1.5, tolerance=0.1, seed=2
-        )
+def test_critical_intensity_rejects_bad_target():
+    for target in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            estimate_critical_intensity(HomogeneousLebesgue(1.0), 0.5, 10.0, target, seed=2)
+
+
+def test_critical_intensity_doubles_top_activity_while_censored(monkeypatch):
+    # density 0.1 puts the threshold near 14.4, far above the first top
+    # activity 1/(2a)^2 = 1; every estimate is at most the top activity used
+    model = HomogeneousLebesgue(0.1)
+    est = estimate_critical_intensity(model, 0.5, 10.0, 0.5, seed=3, replicates=40)
+    assert est.value > 4.0 and math.isfinite(est.stderr)
+    monkeypatch.setattr(percolation, "_MAX_DOUBLINGS", 2)
+    with pytest.raises(ValueError, match="censored"):
+        estimate_critical_intensity(model, 0.5, 10.0, 0.5, seed=3, replicates=40)
 
 
 def test_critical_intensity_decreases_with_radius():
-    small = estimate_critical_intensity(
-        HomogeneousLebesgue(1.0), 0.4, 10.0, 0.5, tolerance=0.2, seed=8, replicates=60
-    )
-    large = estimate_critical_intensity(
-        HomogeneousLebesgue(1.0), 0.8, 10.0, 0.5, tolerance=0.1, seed=8, replicates=60
-    )
+    small = estimate_critical_intensity(HomogeneousLebesgue(1.0), 0.4, 10.0, 0.5, seed=8, replicates=60)
+    large = estimate_critical_intensity(HomogeneousLebesgue(1.0), 0.8, 10.0, 0.5, seed=8, replicates=60)
     assert large.value < small.value
 
 
 def test_critical_intensity_voronoi_environment_finite():
-    est = estimate_critical_intensity(
-        VoronoiEdges(1.0), 0.5, 10.0, 0.5, tolerance=0.2, seed=9, replicates=50
-    )
+    est = estimate_critical_intensity(VoronoiEdges(1.0), 0.5, 10.0, 0.5, seed=9, replicates=50)
     assert np.isfinite(est.value) and est.value > 0.0

@@ -9,7 +9,8 @@ from wrlab.stats import (
     combined_sigma,
     lag1_autocorrelation,
     pool_independent,
-    summarize_estimates,
+    order_statistic_estimate,
+    summarize_binomial,
     summarize_replicates,
     total_variation,
     wilson_interval,
@@ -68,14 +69,17 @@ def test_lag1_autocorrelation_detects_trend():
 
 
 def test_summarize_dispatch():
-    wil = summarize_estimates((3, 10), "wilson")
-    assert wil.method == "wilson" and wil.n == 10
-    rep = summarize_estimates([1.0, 2.0, 3.0], "replicate-variance")
-    assert rep.value == 2.0
-    bm = summarize_estimates(list(range(100)), "batch-means", batch_count=10)
-    assert bm.method == "batch-means"
-    with pytest.raises(ValueError):
-        summarize_estimates([1.0], "nope")
+    wil = summarize_binomial(3, 10)
+    assert wil.method == "wilson" and wil.n == 10 and wil.value == 0.3
+
+
+def test_order_statistic_estimate_ranks_and_censoring():
+    # n = 100, p = 0.5: the 50th value, and the binomial one-sigma ranks 45 and 56
+    est = order_statistic_estimate(np.arange(100.0, 0.0, -1.0), 0.5)
+    assert est.value == 50.0 and est.stderr == 0.5 * (56.0 - 45.0)
+    assert est.method == "order-statistic" and est.n == 100
+    censored = order_statistic_estimate([1.0] * 52 + [math.inf] * 48, 0.5)
+    assert censored.value == 1.0 and censored.stderr == math.inf
 
 
 def test_replicate_variance_matches_formula():
