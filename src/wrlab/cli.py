@@ -2,22 +2,25 @@
 
 Usage::
 
-    wrlab <experiment-kind> --config FILE [--seed N] [--workers N] [--out DIR]
+    wrlab <experiment-kind> --config FILE [--seed N] [--workers N] [--out DIR] [--verbose]
     wrlab validate --config FILE
     wrlab merge --config FILE --out DIR FILES...
 
 Exit codes: 0 pass (or nothing to check), 1 check failed, 2 invalid config,
 3 runtime failure.  ``WRLAB_SEED`` and ``WRLAB_WORKERS`` override the seed
-and worker count (and nothing else).
+and worker count (and nothing else).  ``--verbose`` prints one progress line
+per finished replicate and the full traceback of a runtime failure on
+stderr; the output files do not change.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+import traceback
 
 from .config import EXPERIMENT_KINDS, ConfigError, load_config
-from .runner import RunnerFailure, merge_replicates, run_experiment
+from .runner import merge_replicates, replicate_count, run_experiment
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -37,6 +40,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--workers", type=int, default=None, help="parallel replicate workers")
         p.add_argument("--out", default=None, help="output directory")
+        p.add_argument(
+            "--verbose",
+            action="store_true",
+            help="print per-replicate progress and full tracebacks on stderr",
+        )
     v = sub.add_parser("validate", help="validate a config file and exit")
     v.add_argument("--config", required=True)
     m = sub.add_parser("merge", help="merge replicate files from the same config")
@@ -66,6 +74,21 @@ def _apply_overrides(cfg, seed, workers):
         cfg.workers = int(workers)
         cfg.raw["workers"] = int(workers)
     return cfg
+
+
+def _progress_printer(cfg):
+    total = replicate_count(cfg)
+    finished = []
+
+    def progress(index, outcome):
+        finished.append(index)
+        if isinstance(outcome, BaseException):
+            status = f"failed: {type(outcome).__name__}: {outcome}"
+        else:
+            status = "done"
+        print(f"replicate {index} {status} ({len(finished)}/{total})", file=sys.stderr, flush=True)
+
+    return progress
 
 
 def _config_for_merge(args):
@@ -110,14 +133,14 @@ def main(argv=None) -> int:
                 )
                 return EXIT_INVALID_CONFIG
             cfg = _apply_overrides(cfg, args.seed, args.workers)
-            manifest = run_experiment(cfg, args.out)
+            progress = _progress_printer(cfg) if args.verbose else None
+            manifest = run_experiment(cfg, args.out, progress=progress)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-    except RunnerFailure as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_FAILURE
-    except Exception as exc:  # anything unexpected is a runtime failure
+    except Exception as exc:  # a failed replicate, or anything unexpected
+        if getattr(args, "verbose", False):
+            traceback.print_exception(exc, file=sys.stderr)
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_FAILURE
 

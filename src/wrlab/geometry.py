@@ -308,6 +308,8 @@ class GridIndex:
     def key(self, pos) -> tuple:
         c = self.cell
         lo = self.lower
+        if self.dim == 2:
+            return (int((pos[0] - lo[0]) // c), int((pos[1] - lo[1]) // c))
         return tuple(int((pos[k] - lo[k]) // c) for k in range(self.dim))
 
     def add(self, idx: int, pos) -> None:
@@ -319,6 +321,15 @@ class GridIndex:
         bucket.discard(idx)
         if not bucket:
             del self.cells[key]
+
+    def relabel(self, old: int, new: int, pos) -> None:
+        """``remove(old, pos)`` then ``add(new, pos)``, with one key."""
+        key = self.key(pos)
+        bucket = self.cells[key]
+        bucket.discard(old)
+        if not bucket:
+            bucket = self.cells[key] = set()
+        bucket.add(new)
 
     def nearby(self, pos) -> list:
         """Point ids in the 3^d cells around ``pos`` (caller distance-checks)."""

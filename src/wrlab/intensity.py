@@ -192,6 +192,13 @@ class EnvironmentRealization:
     Exactly one of (``density``, ``segments``) is set.  ``constant_density``
     marks the exact-mass fast path; ``grid_hint`` is the midpoint-rule cell
     side used when a general density has to be integrated numerically.
+
+    ``point_density`` is a scalar probe of one planar point, returning the
+    same float as ``density_at([pos])[0]``.  Shot-noise and random-set
+    realizations in the plane set it: it counts germs within the kernel or
+    grain radius in a germ-cell hash, with the ``<=`` rule of the KD-tree.
+    It does not check the sup bound; the chains' ``thin`` (see
+    :func:`dominating_measure`) does.  ``density_at`` keeps the array path.
     """
 
     model: IntensityModel
@@ -201,6 +208,7 @@ class EnvironmentRealization:
     constant_density: float | None = None
     segments: tuple[Segment, ...] | None = None
     grid_hint: float = 0.25
+    point_density: Callable[[tuple], float] | None = None
 
     @property
     def kind(self) -> str:
@@ -242,6 +250,40 @@ def _influence_radius(model: IntensityModel) -> float:
 def _poisson_points(rng: np.random.Generator, rate: float, window: Window) -> np.ndarray:
     n = rng.poisson(rate * window.volume)
     return rng.uniform(window.lower, window.upper, size=(n, window.dim))
+
+
+def _germ_counter(germs: np.ndarray, r: float, origin) -> Callable[[tuple], int]:
+    """Scalar count of planar germs within distance ``r`` (closed) of a point.
+
+    Germs sit in a dict from integer cell to coordinate tuples.  The cell
+    side is a hair above ``r``, so rounding in the keys can never put a germ
+    within ``r`` more than one cell away, and the 3x3 cells around the point
+    hold every germ that counts.  The test ``dx*dx + dy*dy <= r*r`` is the
+    KD-tree's own (squared distance against the squared radius).
+    """
+    x0, y0 = (float(v) for v in origin)
+    cell = r * (1.0 + 2.0**-20)
+    r2 = r * r
+    cells: dict[tuple[int, int], list] = {}
+    for gx, gy in germs.tolist():
+        cells.setdefault((int((gx - x0) // cell), int((gy - y0) // cell)), []).append((gx, gy))
+    get = cells.get
+
+    def count(pos) -> int:
+        px, py = pos
+        bx = int((px - x0) // cell)
+        by = int((py - y0) // cell)
+        n = 0
+        for ix in (bx - 1, bx, bx + 1):
+            for iy in (by - 1, by, by + 1):
+                for gx, gy in get((ix, iy), ()):
+                    dx = px - gx
+                    dy = py - gy
+                    if dx * dx + dy * dy <= r2:
+                        n += 1
+        return n
+
+    return count
 
 
 def _clip_segments(p: np.ndarray, q: np.ndarray, window: Window):
@@ -417,6 +459,10 @@ def realize_environment(
         valid = window.expand(guard_margin - model.kernel_radius) if guard_margin > model.kernel_radius else window
         r = model.kernel_radius
         amp = model.kernel_amplitude
+        point_density = None
+        if window.dim == 2:
+            count = _germ_counter(germs, r, draw_window.lower)
+            point_density = lambda pos, _amp=float(amp): _amp * count(pos)
         if len(germs) == 0:
             dens = lambda pts: np.zeros(len(np.atleast_2d(pts)))
             sup = 0.0
@@ -437,6 +483,7 @@ def realize_environment(
             density=dens,
             sup_bound=sup,
             grid_hint=r / 4.0,
+            point_density=point_density,
         )
 
     if isinstance(model, RandomSetIndicator):
@@ -445,6 +492,10 @@ def realize_environment(
         germs = _poisson_points(rng, model.germ_intensity, draw_window)
         valid = window.expand(guard_margin - model.grain_radius) if guard_margin > model.grain_radius else window
         lo, hi = model.lambda_outside, model.lambda_inside
+        point_density = None
+        if window.dim == 2:
+            covered = _germ_counter(germs, model.grain_radius, draw_window.lower)
+            point_density = lambda pos, _lo=float(lo), _hi=float(hi): _hi if covered(pos) else _lo
         if len(germs) == 0:
             dens = lambda pts, _lo=lo: np.full(len(np.atleast_2d(pts)), _lo)
         else:
@@ -461,6 +512,7 @@ def realize_environment(
             density=dens,
             sup_bound=max(lo, hi),
             grid_hint=model.grain_radius / 4.0,
+            point_density=point_density,
         )
 
     if isinstance(model, VoronoiEdges):
@@ -615,6 +667,12 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
     factor enters the acceptance ratio; constant and segment environments
     have exact mass directly.  ``color_doubled`` doubles the mass for
     two-colored processes with a fair color coin.
+
+    ``thin`` probes the realization's scalar ``point_density`` where it has
+    one (one call per birth proposal, no array round trip), else
+    ``density_at``.  Both raise :class:`SupBoundViolation` on a value above
+    the sup bound, by the same comparison.  Planar draws take their two
+    uniforms x first, then y, as the generic draw does.
     """
     _check_region(env, window)
     factor = (2.0 if color_doubled else 1.0) * z
@@ -622,8 +680,16 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
     sides = window.sides.tolist()
     dim = window.dim
 
-    def uniform_draw(ub, _lo=lo, _sides=sides, _dim=dim):
-        return tuple(_lo[k] + ub.next() * _sides[k] for k in range(_dim))
+    if dim == 2:
+
+        def uniform_draw(ub, _x0=lo[0], _y0=lo[1], _sx=sides[0], _sy=sides[1]):
+            x = _x0 + ub.next() * _sx
+            return (x, _y0 + ub.next() * _sy)
+
+    else:
+
+        def uniform_draw(ub, _lo=lo, _sides=sides, _dim=dim):
+            return tuple(_lo[k] + ub.next() * _sides[k] for k in range(_dim))
 
     if env.segments is not None:
         pieces = _clipped_segments(env, window)
@@ -651,8 +717,20 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
     if total == 0.0:
         return 0.0, uniform_draw, None
 
-    def thin(pos, _env=env, _sup=sup):
-        return float(_env.density_at(np.array([pos]))[0]) / _sup
+    if env.point_density is None:
+
+        def thin(pos, _env=env, _sup=sup):
+            return float(_env.density_at(np.array([pos]))[0]) / _sup
+
+    else:
+        # density_at's sup-bound check, on one value
+        limit = sup * (1.0 + 1e-9) + 1e-12
+
+        def thin(pos, _density=env.point_density, _sup=sup, _limit=limit):
+            value = _density(pos)
+            if value > _limit:
+                raise SupBoundViolation(pos, value, _sup)
+            return value / _sup
 
     return total, uniform_draw, thin
 

@@ -532,7 +532,8 @@ def _write_jsonl(path, cfg: ExperimentConfig, records, criteria, summary) -> Non
         fh.write(json.dumps(tail, sort_keys=True) + "\n")
 
 
-def _n_replicates(cfg: ExperimentConfig) -> int:
+def replicate_count(cfg: ExperimentConfig) -> int:
+    """How many replicates a campaign runs (``runs`` for dlr-check)."""
     return cfg.runs if cfg.kind == "dlr-check" else cfg.replicates
 
 
@@ -541,16 +542,20 @@ def _worker_task(payload):
     return _REPLICATE_PHASE[cfg.kind](cfg, index)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
+def run_experiment(
+    cfg: ExperimentConfig, out_dir: str | None = None, progress=None
+) -> RunManifest:
     """Execute a configured campaign and write results + manifest.
 
     Raises :class:`RunnerFailure` after flushing partials when a replicate
     dies; check-style experiments record per-criterion pass flags in the
-    manifest (the CLI turns them into the exit status).
+    manifest (the CLI turns them into the exit status).  ``progress(index,
+    outcome)``, when given, is called as each replicate finishes, with its
+    record or the exception it raised; it does not touch the outputs.
     """
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    n_reps = _n_replicates(cfg)
+    n_reps = replicate_count(cfg)
     indices = list(range(cfg.replicate_offset, cfg.replicate_offset + n_reps))
     manifest = RunManifest(
         config_hash=cfg.hash(),
@@ -569,14 +574,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunMani
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = {pool.submit(_worker_task, (cfg, i)): i for i in indices}
             for future in concurrent.futures.as_completed(futures):
+                i = futures[future]
                 error = future.exception()
-                outcomes[futures[future]] = future.result() if error is None else error
+                outcomes[i] = future.result() if error is None else error
+                if progress is not None:
+                    progress(i, outcomes[i])
     else:
         for i in indices:
             try:
                 outcomes[i] = _REPLICATE_PHASE[cfg.kind](cfg, i)
             except Exception as exc:
                 outcomes[i] = exc
+            if progress is not None:
+                progress(i, outcomes[i])
     records = [rec for rec in outcomes.values() if not isinstance(rec, BaseException)]
     records.sort(key=lambda rec: rec.get("index", 0))
     failed = sorted(i for i, rec in outcomes.items() if isinstance(rec, BaseException))

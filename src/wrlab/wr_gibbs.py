@@ -408,14 +408,22 @@ class _WrChain(_BirthDeathChain):
         xs, cols = self.xs, self.cols
         r2 = self.r2
         if self.dim == 2:
+            # grid.nearby inlined: stop at the first conflict, build no list
             px, py = pos
-            for j in self.grid.nearby(pos):
-                if cols[j] != color:
-                    q = xs[j]
-                    dx = px - q[0]
-                    dy = py - q[1]
-                    if dx * dx + dy * dy <= r2:
-                        return
+            grid = self.grid
+            c = grid.cell
+            bx = int((px - grid.lower[0]) // c)
+            by = int((py - grid.lower[1]) // c)
+            get = grid.cells.get
+            for ix in (bx - 1, bx, bx + 1):
+                for iy in (by - 1, by, by + 1):
+                    for j in get((ix, iy), ()):
+                        if cols[j] != color:
+                            q = xs[j]
+                            dx = px - q[0]
+                            dy = py - q[1]
+                            if dx * dx + dy * dy <= r2:
+                                return
         else:
             for j in self.grid.nearby(pos):
                 if cols[j] != color and self._dist2(pos, xs[j]) <= r2:
@@ -461,12 +469,11 @@ class _WrChain(_BirthDeathChain):
         self.grid.remove(victim, pos)
         last = len(xs) - 1
         if victim != last:
-            self.grid.remove(last, xs[last])
+            self.grid.relabel(last, victim, xs[last])
             xs[victim] = xs[last]
             cols[victim] = cols[last]
             bnear[victim] = bnear[last]
             tvals[victim] = tvals[last]
-            self.grid.add(victim, xs[victim])
         xs.pop()
         cols.pop()
         bnear.pop()
@@ -494,30 +501,38 @@ class _WrChain(_BirthDeathChain):
         cap = self.settings.recolor_cluster_cap
         xs, cols, bnear = self.xs, self.cols, self.bnear
         r2 = self.r2
-        nearby = self.grid.nearby
-        fast2d = self.dim == 2
         comp = {seed_idx}
         stack = [seed_idx]
-        while stack:
-            j = stack.pop()
-            pj = xs[j]
-            if fast2d:
-                px, py = pj
-                for k in nearby(pj):
-                    if k in comp or cols[k] != color:
-                        continue
-                    q = xs[k]
-                    dx = px - q[0]
-                    dy = py - q[1]
-                    if dx * dx + dy * dy > r2:
-                        continue
-                    if check_boundary and bnear[k]:
-                        return
-                    if len(comp) >= cap:
-                        return
-                    comp.add(k)
-                    stack.append(k)
-            else:
+        if self.dim == 2:
+            # grid.nearby inlined: the same cells in the same order
+            grid = self.grid
+            c = grid.cell
+            gx, gy = grid.lower
+            get = grid.cells.get
+            while stack:
+                px, py = xs[stack.pop()]
+                bx = int((px - gx) // c)
+                by = int((py - gy) // c)
+                for ix in (bx - 1, bx, bx + 1):
+                    for iy in (by - 1, by, by + 1):
+                        for k in get((ix, iy), ()):
+                            if k in comp or cols[k] != color:
+                                continue
+                            q = xs[k]
+                            dx = px - q[0]
+                            dy = py - q[1]
+                            if dx * dx + dy * dy > r2:
+                                continue
+                            if check_boundary and bnear[k]:
+                                return
+                            if len(comp) >= cap:
+                                return
+                            comp.add(k)
+                            stack.append(k)
+        else:
+            nearby = self.grid.nearby
+            while stack:
+                pj = xs[stack.pop()]
                 for k in nearby(pj):
                     if k in comp or cols[k] != color:
                         continue

@@ -191,6 +191,86 @@ def test_zero_grid_scan_has_all_zero_crossing_column(tmp_path):
         assert float(cells[4]) == 0.0
 
 
+WROP_RANDOM_SET = """
+[experiment]
+kind = wr-order-parameter
+seed = 11
+
+[environment]
+model = random-set
+lambda_inside = 1.5
+lambda_outside = 0.5
+germ_intensity = 0.4
+grain_radius = 0.5
+
+[geometry]
+dim = 2
+a = 0.5
+
+[schedule]
+z_grid = 0 0.4 3
+L_list = 4 6
+replicates = 2
+
+[mcmc]
+sweeps = 300
+burn_in = 60
+thinning = 1
+"""
+
+WROP_SHOT_NOISE = """
+[experiment]
+kind = wr-order-parameter
+seed = 12
+
+[environment]
+model = shot-noise
+pp_intensity = 0.6
+kernel_radius = 0.5
+kernel_amplitude = 2.0
+
+[geometry]
+dim = 2
+a = 0.5
+window = 0 0 5 5
+delta = 2 2 3 3
+
+[schedule]
+z_grid = 0.5 2
+replicates = 1
+
+[mcmc]
+sweeps = 300
+burn_in = 60
+thinning = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "body, results_sha, replicates_sha",
+    [
+        (
+            WROP_RANDOM_SET,
+            "0de975bdf218ec357dd2cd026449d8888174f6393e366517f764dc593d4d4f53",
+            "083a5248d7f2b029e7a21b2469ae8ddd89fdbe69ad270c6e73b3ee63381bea75",
+        ),
+        (
+            WROP_SHOT_NOISE,
+            "90c27b0f6cc2ead3cd3af50636bac6a3266d18f357e92af3ea5e3d3ab6bb60e6",
+            "8d87c724c91595215f067c566c1fd384645a55c5028e286737dd0962d2b44342",
+        ),
+    ],
+    ids=["random-set", "shot-noise"],
+)
+def test_wr_order_parameter_outputs_are_pinned(tmp_path, body, results_sha, replicates_sha):
+    # the WR chain's seeded outputs, byte for byte; a change to WR sampling
+    # that moves them on purpose updates these digests and says so
+    out = str(tmp_path / "out")
+    run_experiment(load_config(write_config(tmp_path, body)), out)
+    assert digest(f"{out}/results.csv") == results_sha
+    assert digest(f"{out}/replicates.jsonl") == replicates_sha
+
+
 def test_merge_equals_full_run_and_commutes(tmp_path):
     full = load_config(write_config(tmp_path, SCAN.format(reps=6, off=0), "full.cfg"))
     p1 = load_config(write_config(tmp_path, SCAN.format(reps=3, off=0), "p1.cfg"))
@@ -426,6 +506,45 @@ def test_delta_size_is_centred_and_delta_must_fit_every_window(tmp_path):
         load("wr-order-parameter", "delta_size = 1", "no_window.cfg")
     with pytest.raises(ConfigError, match="every L_list window"):
         load("wr-order-parameter", "delta = 4.5 4.5 5.5 5.5", "misfit.cfg")
+
+
+def test_cli_verbose_prints_progress_and_the_full_traceback(tmp_path, monkeypatch, capsys):
+    import wrlab.runner as runner
+
+    original = runner._REPLICATE_PHASE["percolation-scan"]
+
+    def fail_one(cfg, index):
+        if index == 1:
+            raise RuntimeError("replicate 1 forced to fail")
+        return original(cfg, index)
+
+    path = write_config(tmp_path, SCAN.format(reps=3, off=0))
+    out = {}
+    for verbose in (False, True):
+        out[verbose] = str(tmp_path / f"ok{verbose}")
+        flag = ["--verbose"] if verbose else []
+        assert main(["percolation-scan", "--config", path, "--out", out[verbose], *flag]) == 0
+        err = capsys.readouterr().err
+        assert ("replicate 2 done (3/3)" in err) is verbose
+    for name in ("results.csv", "replicates.jsonl"):
+        assert digest(f"{out[False]}/{name}") == digest(f"{out[True]}/{name}")
+
+    # a forked worker inherits the patched table
+    monkeypatch.setitem(runner._REPLICATE_PHASE, "percolation-scan", fail_one)
+    for workers in ("1", "2"):
+        argv = ["percolation-scan", "--config", path, "--workers", workers]
+        assert main([*argv, "--out", str(tmp_path / f"quiet{workers}")]) == 3
+        quiet = capsys.readouterr().err
+        assert quiet == "runtime failure: replicate 1 failed: replicate 1 forced to fail\n"
+        assert main([*argv, "--out", str(tmp_path / f"loud{workers}"), "--verbose"]) == 3
+        loud = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in loud
+        assert "in fail_one" in loud
+        assert "replicate 1 failed: RuntimeError: replicate 1 forced to fail" in loud
+        assert loud.count(" done (") == 2
+        assert loud.endswith(quiet)
+        quiet_file = tmp_path / f"quiet{workers}" / "replicates.jsonl"
+        assert digest(quiet_file) == digest(tmp_path / f"loud{workers}" / "replicates.jsonl")
 
 
 def test_failed_replicate_keeps_the_finished_ones_for_any_worker_count(tmp_path, monkeypatch):

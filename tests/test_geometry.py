@@ -243,6 +243,56 @@ def test_grid_index_add_remove_nearby():
     assert set(grid.nearby((1.2, 1.1))) == {0}
 
 
+@hypothesis_settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "relabel"]),
+            st.integers(0, 11),
+            st.tuples(st.integers(0, 16), st.integers(0, 16)),
+        ),
+        max_size=60,
+    ),
+    probes=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=6),
+)
+def test_grid_index_nearby_matches_brute_force(ops, probes):
+    # cell 0.5 from the corner (-1, 2); sites every 0.25 put points and probes
+    # on cell boundaries; sites (0, 0) and (16, 16) are the window's corners
+    lower = np.array([-1.0, 2.0])
+    win = Window(lower, lower + 4.0)
+    cell = 0.5
+    site = lambda i, j: (-1.0 + 0.25 * i, 2.0 + 0.25 * j)
+    grid = GridIndex(win, cell)
+    live: dict[int, tuple] = {}
+    removed: set[int] = set()
+    for op, idx, (i, j) in ops:
+        if op == "add" and idx not in live:
+            live[idx] = site(i, j)
+            grid.add(idx, live[idx])
+            removed.discard(idx)
+        elif op == "remove" and idx in live:
+            grid.remove(idx, live.pop(idx))
+            removed.add(idx)
+        elif op == "relabel" and idx in live:
+            new = max(live) + 1
+            grid.relabel(idx, new, live[idx])
+            live[new] = live.pop(idx)
+            removed.add(idx)
+            removed.discard(new)
+    for i, j in [(0, 0), (16, 16), *probes]:
+        pos = site(i, j)
+        near = grid.nearby(pos)
+        assert len(near) == len(set(near))
+        assert not set(near) & removed
+        assert set(near) <= set(live)
+        for idx, q in live.items():
+            gap = max(abs(q[0] - pos[0]), abs(q[1] - pos[1]))
+            if gap <= cell:
+                assert idx in near, (idx, q, pos)
+            if gap >= 2 * cell:
+                assert idx not in near, (idx, q, pos)
+
+
 def test_three_dimensional_components():
     win = Window.cube(4.0, 3)
     pts = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.9], [3.0, 3.0, 3.0]])

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy import stats as sps
+
+import wrlab.intensity as intensity
 
 from wrlab.geometry import Window
 from wrlab.intensity import (
@@ -351,3 +355,97 @@ def test_dominating_measure_thinning_factor_matches_density():
     assert total == 3.0
     assert abs(thin((0.1, 0.5)) - 1.0) < 1e-12
     assert abs(thin((0.9, 0.5)) - 1.0 / 3.0) < 1e-12
+
+
+# -- the scalar probe of germ environments ------------------------------------
+
+
+def germ_env(kind, r, germs, window):
+    """A shot-noise or random-set realization over the given germ points."""
+    model = ShotNoise(1.0, r, 2.5) if kind == "shot-noise" else RandomSetIndicator(1.2, 0.8, 1.0, r)
+    germs = np.array(germs, dtype=float).reshape(-1, 2)
+    with mock.patch.object(intensity, "_poisson_points", lambda rng, rate, win: germs):
+        return realize_environment(model, window, seed=0)
+
+
+def assert_probes_agree(env, probes):
+    for p in probes:
+        assert env.point_density(p) == env.density_at(np.array([p]))[0], p
+
+
+@hypothesis_settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["shot-noise", "random-set"]),
+    r=st.sampled_from([0.5, 0.3, 1.0 / 3.0, 0.7]),
+    germ_sites=st.sets(st.tuples(st.integers(-5, 25), st.integers(-5, 25)), max_size=25),
+    probe_sites=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=8),
+)
+def test_point_density_matches_density_at_on_lattice_ties(kind, r, germ_sites, probe_sites):
+    # a lattice of step r/5 on the window [0, 4r]^2 and its guard margin of
+    # width r: sites (5, 0) or (3, 4) steps apart sit at exactly r
+    h = r / 5.0
+    window = Window.cube(4.0 * r, 2)
+    env = germ_env(kind, r, [(h * i, h * j) for i, j in germ_sites], window)
+    cell = r * (1.0 + 2.0**-20)  # the hash's cell side, from the guard corner -r
+    probes = []
+    for i, j in probe_sites:
+        x, y = h * i, h * j
+        for px in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+            for py in (np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)):
+                probes.append((float(px), float(py)))
+        # the cell edges next to the site
+        ex = -r + cell * ((x + r) // cell)
+        ey = -r + cell * ((y + r) // cell)
+        probes.extend([(ex, y), (x, ey), (ex, ey)])
+    probes = [p for p in probes if window.contains(np.array([p]))[0]]
+    assert_probes_agree(env, probes)
+
+
+def test_point_density_on_empty_germ_set_and_germs_in_the_margin():
+    window = Window.cube(2.0, 2)
+    corners = [(0.0, 0.0), (2.0, 2.0), (1.0, 0.0), (0.5, 0.5)]
+    for kind in ("shot-noise", "random-set"):
+        empty = germ_env(kind, 0.5, [], window)
+        assert_probes_agree(empty, corners)
+        # germs only in the guard margin, exactly r from the window's corners
+        margin = germ_env(kind, 0.5, [(-0.5, 0.0), (2.0, 2.5), (-0.3, -0.4)], window)
+        assert_probes_agree(margin, corners)
+        assert margin.point_density((0.0, 0.0)) > empty.point_density((0.0, 0.0))
+
+
+def test_thin_checks_the_sup_bound_on_the_scalar_probe():
+    model = RandomSetIndicator(1.2, 0.8, 1.0, 0.5)
+
+    def env_with(value):
+        return EnvironmentRealization(
+            model=model,
+            guard_window=UNIT,
+            density=lambda pts: np.full(len(pts), value),
+            sup_bound=1.0,
+            point_density=lambda pos: value,
+        )
+
+    _, _, thin = dominating_measure(env_with(0.75), UNIT, 2.0)
+    assert thin((0.5, 0.5)) == 0.75
+    # within the tolerance density_at allows, then beyond it
+    _, _, thin = dominating_measure(env_with(1.0 + 1e-10), UNIT, 2.0)
+    assert thin((0.5, 0.5)) == 1.0 + 1e-10
+    for value in (1.0 + 1e-8, 2.0):
+        _, _, thin = dominating_measure(env_with(value), UNIT, 2.0)
+        with pytest.raises(SupBoundViolation) as scalar:
+            thin((0.5, 0.5))
+        with pytest.raises(SupBoundViolation) as array:
+            env_with(value).density_at(np.array([[0.5, 0.5]]))
+        assert (scalar.value.value, scalar.value.bound) == (array.value.value, array.value.bound)
+
+
+def test_thin_uses_the_scalar_probe_of_germ_environments():
+    window = Window.cube(3.0, 2)
+    pts = np.random.default_rng(5).uniform(0.0, 3.0, size=(300, 2))
+    for model in (ShotNoise(1.5, 0.5, 2.0), RandomSetIndicator(1.2, 0.8, 1.0, 0.5)):
+        env = realize_environment(model, window, seed=4)
+        assert env.point_density is not None
+        _, _, thin = dominating_measure(env, window, 1.0)
+        with mock.patch.object(EnvironmentRealization, "density_at", side_effect=AssertionError):
+            values = [thin(tuple(p)) for p in pts.tolist()]
+        assert values == (env.density_at(pts) / env.sup_bound).tolist()

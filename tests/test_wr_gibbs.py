@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy import stats as sps
 
-from wrlab.geometry import Window
-from wrlab.intensity import HomogeneousLebesgue, realize_environment
+from wrlab.geometry import GridIndex, Window
+from wrlab.intensity import HomogeneousLebesgue, RandomSetIndicator, realize_environment
 from wrlab.rng import as_generator, spawn
 from wrlab.stats import total_variation
 from wrlab.wr_gibbs import (
@@ -18,6 +19,7 @@ from wrlab.wr_gibbs import (
     MarkedConfiguration,
     RejectionBudgetError,
     WRParams,
+    _WrChain,
     birth_death_log_ratio,
     dlr_consistency_check,
     estimate_order_parameter,
@@ -292,6 +294,52 @@ def test_registered_box_counters_match_recount():
 
     settings = MCMCSettings(sweeps=400, burn_in=100, thinning=4)
     run_wr_chain(params, MINUS_WIRED, settings, seed=12, record=record, count_box=delta)
+
+
+@hypothesis_settings(max_examples=40, deadline=None)
+@given(
+    sites=st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+    env_seed=st.integers(0, 2**16),
+    z=st.sampled_from([0.3, 1.0, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.integers(1, 150),
+)
+def test_bookkeeping_matches_recount_after_every_move(sites, env_seed, z, seed, moves):
+    # a = 0.5 on a 0.5-spaced lattice in [0, 4]^2: lattice points two steps
+    # apart, or one unit from the boundary, sit at exactly 2a
+    a = 0.5
+    win = Window.cube(4.0, 2)
+    env = realize_environment(RandomSetIndicator(1.2, 0.8, 0.5, 0.5), win, seed=env_seed)
+    delta = Window(np.array([1.0, 1.0]), np.array([3.0, 3.0]))
+    chain = _WrChain(WRParams(a=a, z=z, env=env, window=win), PLUS_WIRED, MCMCSettings(), as_generator(seed))
+    chain.register_count_box(delta)
+    uniform_draw = chain.draw
+
+    def lattice_draw(ub):
+        # births land on free lattice sites, so ties also arise from moves
+        site = (0.5 * ub.next_index(9), 0.5 * ub.next_index(9))
+        return uniform_draw(ub) if site in chain.xs else site
+
+    chain.draw = lattice_draw
+    start = sorted((0.5 * i, 0.5 * j) for i, j in sites)
+    chain.load(marked(np.reshape(start, (-1, 2)), [PLUS] * len(start)))
+
+    def assert_recount():
+        conf = chain.to_marked_configuration()
+        assert is_viable(conf, a, PLUS_WIRED, win)
+        assert chain.box_counts == list(conf.counts_in(delta))
+        pts = conf.positions
+        assert chain.tvals == (env.density_at(pts) / env.sup_bound).tolist()
+        assert chain.bnear == (win.boundary_distance(pts) <= 2 * a).tolist()
+        rebuilt = GridIndex(win, 2 * a)
+        for i, pos in enumerate(chain.xs):
+            rebuilt.add(i, pos)
+        assert chain.grid.cells == rebuilt.cells
+
+    assert_recount()
+    for _ in range(moves):
+        chain.step()
+        assert_recount()
 
 
 # -- conditional-resampling consistency -------------------------------------------
