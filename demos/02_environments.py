@@ -44,7 +44,7 @@ for name, model in models.items():
 
 # the edge measure of a Voronoi tessellation carries 2 sqrt(rho) length per area
 env = realize_environment(VoronoiEdges(1.0), window, seed=3)
-per_area = sum(seg.length for seg in env.segments) / window.volume
+per_area = env.segments.lengths.sum() / window.volume
 print(f"\nvoronoi edge length per unit area: {per_area:.2f} (mean 2.0)")
 
 # shot-noise box masses decorrelate beyond twice the kernel radius plus box side

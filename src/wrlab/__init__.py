@@ -38,7 +38,7 @@ from .intensity import (
     IntensityModel,
     ManhattanGrid,
     RandomSetIndicator,
-    Segment,
+    SegmentSet,
     ShotNoise,
     VoronoiEdges,
     covariance_decay_probe,

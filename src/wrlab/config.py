@@ -23,12 +23,14 @@ import numpy as np
 
 from .geometry import Window
 from .intensity import (
+    GuardMarginError,
     HomogeneousLebesgue,
     IntensityModel,
     ManhattanGrid,
     RandomSetIndicator,
     ShotNoise,
     VoronoiEdges,
+    check_guard_margin,
 )
 from .wr_gibbs import MCMCSettings
 
@@ -234,6 +236,10 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("missing [environment] section")
     model, model_name = _parse_model(parser["environment"])
     guard_margin = parser["environment"].getfloat("guard_margin", None)
+    try:
+        check_guard_margin(model, guard_margin)
+    except GuardMarginError as exc:
+        raise ConfigError(str(exc)) from exc
 
     if "geometry" not in parser:
         raise ConfigError("missing [geometry] section")

@@ -14,8 +14,9 @@ drives every Poisson draw in the package.  Six models are provided:
 
 ``realize_environment`` freezes one random draw of a model into an
 :class:`EnvironmentRealization`: either a density handle with a sup bound, or
-a list of segments carrying mass per unit length.  Realizations are immutable
-and may be shared across threads; all randomness flows through explicit seeds.
+one :class:`SegmentSet` of segments carrying mass per unit length.
+Realizations are immutable and may be shared across threads; all randomness
+flows through explicit seeds.
 """
 from __future__ import annotations
 
@@ -127,45 +128,58 @@ IntensityModel = Union[
     ManhattanGrid,
 ]
 
-SEGMENT_MODELS = (VoronoiEdges, ManhattanGrid)
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded as ``np.linalg.norm`` of that row.
+
+    The one-row norm is ``sqrt(dot(x, x))``; the batched product rounds the
+    same, where ``norm(axis=1)`` does not.
+    """
+    return np.sqrt((d[:, None, :] @ d[:, :, None]).reshape(len(d)))
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A line segment carrying mass per unit length.
+@dataclass(frozen=True, eq=False)
+class SegmentSet:
+    """Line segments carrying mass per unit length, one row per segment.
 
-    ``generators`` holds the pair of germ points whose bisector the segment
-    lies on (Voronoi edges only); it exists so tests can verify equidistance.
+    ``start`` and ``end`` are (n, d) end points and ``linear_density`` is
+    (n,).  ``generators`` is (n, 2, d), the pair of germ points whose
+    bisector each segment lies on (Voronoi edges only); it exists so tests
+    can verify equidistance.  The arrays are copied and made read-only.
     """
 
     start: np.ndarray
     end: np.ndarray
-    linear_density: float
+    linear_density: np.ndarray
     generators: np.ndarray | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.start, dtype=float)
-        e = np.asarray(self.end, dtype=float)
-        # np.allclose(s, e) with its default tolerances, minus the array overhead
-        if all(
-            x == y or (abs(x - y) <= 1e-8 + 1e-5 * abs(y) and math.isfinite(y))
-            for x, y in zip(s.tolist(), e.tolist())
-        ):
+        arrays = {
+            name: np.array(getattr(self, name), dtype=float)
+            for name in ("start", "end", "linear_density", "generators")
+            if getattr(self, name) is not None
+        }
+        s, e, w = arrays["start"], arrays["end"], arrays["linear_density"]
+        if s.ndim != 2 or e.shape != s.shape or w.shape != (len(s),):
+            raise ValueError("start and end must be (n, d) and linear_density (n,)")
+        if "generators" in arrays and arrays["generators"].shape != (len(s), 2, s.shape[1]):
+            raise ValueError("generators must be (n, 2, d)")
+        if not all(np.isfinite(x).all() for x in arrays.values()):
+            raise ValueError("segment arrays must be finite")
+        if np.isclose(s, e).all(axis=1).any():
             raise ValueError("segment endpoints must be distinct")
-        if self.linear_density < 0:
+        if (w < 0).any():
             raise ValueError("linear_density must be >= 0")
-        s.flags.writeable = False
-        e.flags.writeable = False
-        object.__setattr__(self, "start", s)
-        object.__setattr__(self, "end", e)
+        for name, x in arrays.items():
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
+
+    def __len__(self) -> int:
+        return len(self.start)
 
     @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
-
-    @property
-    def mass(self) -> float:
-        return self.length * self.linear_density
+    def lengths(self) -> np.ndarray:
+        return row_norms(self.end - self.start)
 
 
 class SupBoundViolation(RuntimeError):
@@ -206,13 +220,9 @@ class EnvironmentRealization:
     density: Callable[[np.ndarray], np.ndarray] | None = None
     sup_bound: float | None = None
     constant_density: float | None = None
-    segments: tuple[Segment, ...] | None = None
+    segments: SegmentSet | None = None
     grid_hint: float = 0.25
     point_density: Callable[[tuple], float] | None = None
-
-    @property
-    def kind(self) -> str:
-        return "segments" if self.segments is not None else "density"
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the density, enforcing the declared sup bound."""
@@ -239,12 +249,24 @@ def default_guard_margin(model: IntensityModel) -> float:
     return 1.0
 
 
-def _influence_radius(model: IntensityModel) -> float:
-    if isinstance(model, ShotNoise):
-        return model.kernel_radius
-    if isinstance(model, RandomSetIndicator):
-        return model.grain_radius
-    return 0.0
+def check_guard_margin(model: IntensityModel, guard_margin: float | None) -> float:
+    """The guard margin to realize ``model`` with: the model default when None.
+
+    Raises :class:`GuardMarginError` for a margin that is not positive or
+    does not cover the model's influence radius.
+    """
+    if guard_margin is None:
+        guard_margin = default_guard_margin(model)
+    if not guard_margin > 0:
+        raise GuardMarginError(f"guard_margin must be positive, got {guard_margin}")
+    # the kernel or grain radius; other models have no edge effect
+    germ_model = isinstance(model, (ShotNoise, RandomSetIndicator))
+    influence = default_guard_margin(model) if germ_model else 0.0
+    if guard_margin < influence - 1e-12:
+        raise GuardMarginError(
+            f"guard_margin {guard_margin} smaller than influence radius {influence}"
+        )
+    return guard_margin
 
 
 def _poisson_points(rng: np.random.Generator, rate: float, window: Window) -> np.ndarray:
@@ -312,7 +334,7 @@ def _clip_segments(p: np.ndarray, q: np.ndarray, window: Window):
 
 def _realize_voronoi(
     model: VoronoiEdges, window: Window, margin: float, seed
-) -> tuple[tuple[Segment, ...], float]:
+) -> tuple[SegmentSet, float]:
     """Voronoi edge segments clipped to the window, with a correctness check.
 
     The tessellation inside the window is trusted only if, at every clipped
@@ -343,21 +365,18 @@ def _realize_voronoi(
         q = vor.vertices[ends[:, 1]]
         used = (ends != -1).any(axis=1)
         unbounded = used & (ends == -1).any(axis=1)
-        for r in np.flatnonzero(unbounded):
-            i, j = pairs[r]
-            v0, v1 = ends[r]
-            # extend the unbounded ridge far beyond the guard box
-            known = vor.vertices[v1 if v0 == -1 else v0]
-            tangent = germs[j] - germs[i]
-            norm = np.linalg.norm(tangent)
-            if norm == 0.0:
-                used[r] = False
-                continue
-            normal = np.array([-tangent[1], tangent[0]]) / norm
-            midpoint = (germs[i] + germs[j]) / 2.0
-            if np.dot(midpoint - center, normal) < 0:
-                normal = -normal
-            p[r], q[r] = known, known + normal * span
+        # extend each unbounded ridge from its one vertex far beyond the
+        # guard box, on the side of its germs' midpoint away from the centre
+        tangent = germs[pairs[:, 1]] - germs[pairs[:, 0]]
+        norm = row_norms(tangent)
+        used &= ~unbounded | (norm > 0.0)
+        ext = np.flatnonzero(unbounded & used)
+        normal = np.stack([-tangent[ext, 1], tangent[ext, 0]], axis=1) / norm[ext, None]
+        midpoint = (germs[pairs[ext, 0]] + germs[pairs[ext, 1]]) / 2.0
+        side = ((midpoint - center)[:, None, :] @ normal[:, :, None]).reshape(len(ext))
+        normal = np.where(side[:, None] < 0, -normal, normal)
+        known = vor.vertices[ends[ext].max(axis=1)]
+        p[ext], q[ext] = known, known + normal * span
         hit, cp, cq = _clip_segments(p, q, window)
         keep = np.flatnonzero(used & hit & ~np.isclose(cp, cq).all(axis=1))
         cp, cq, unbounded = cp[keep], cq[keep], unbounded[keep]
@@ -375,11 +394,7 @@ def _realize_voronoi(
         )
         if not (off_edge & ~unbounded).any() and not (unguarded & ~off_edge).any():
             on = ~off_edge
-            generators = germs[pairs[keep[on]]]
-            segments = tuple(
-                Segment(s, e, 1.0, generators=g)
-                for s, e, g in zip(cp[on], cq[on], generators)
-            )
+            segments = SegmentSet(cp[on], cq[on], np.ones(on.sum()), germs[pairs[keep[on]]])
             return segments, margin
         margin *= 2.0
     raise RuntimeError(
@@ -390,24 +405,23 @@ def _realize_voronoi(
 
 def _realize_manhattan(
     model: ManhattanGrid, window: Window, margin: float, seed
-) -> tuple[Segment, ...]:
+) -> SegmentSet:
     if window.dim != 2:
         raise ValueError("ManhattanGrid environments require dimension 2")
     rng = as_generator(seed)
     (x0, y0), (x1, y1) = window.lower, window.upper
-    segments: list[Segment] = []
     # vertical lines from germs on the guarded x-interval, then horizontal
     n_v = rng.poisson(model.line_intensity * ((x1 - x0) + 2 * margin))
     xs = rng.uniform(x0 - margin, x1 + margin, size=n_v)
-    for x in xs:
-        if x0 <= x <= x1:
-            segments.append(Segment(np.array([x, y0]), np.array([x, y1]), 1.0))
     n_h = rng.poisson(model.line_intensity * ((y1 - y0) + 2 * margin))
     ys = rng.uniform(y0 - margin, y1 + margin, size=n_h)
-    for y in ys:
-        if y0 <= y <= y1:
-            segments.append(Segment(np.array([x0, y]), np.array([x1, y]), 1.0))
-    return tuple(segments)
+    xs = xs[(x0 <= xs) & (xs <= x1)]
+    ys = ys[(y0 <= ys) & (ys <= y1)]
+    # rows of (start x, start y, end x, end y)
+    vertical = np.stack([xs, np.full_like(xs, y0), xs, np.full_like(xs, y1)], axis=1)
+    horizontal = np.stack([np.full_like(ys, x0), ys, np.full_like(ys, x1), ys], axis=1)
+    rows = np.concatenate([vertical, horizontal])
+    return SegmentSet(rows[:, :2], rows[:, 2:], np.ones(len(rows)))
 
 
 def realize_environment(
@@ -423,15 +437,7 @@ def realize_environment(
     margin must cover the model's influence radius.  Deterministic in
     (model, window, guard_margin, seed).
     """
-    if guard_margin is None:
-        guard_margin = default_guard_margin(model)
-    if not guard_margin > 0:
-        raise GuardMarginError(f"guard_margin must be positive, got {guard_margin}")
-    influence = _influence_radius(model)
-    if guard_margin < influence - 1e-12:
-        raise GuardMarginError(
-            f"guard_margin {guard_margin} smaller than influence radius {influence}"
-        )
+    guard_margin = check_guard_margin(model, guard_margin)
 
     if isinstance(model, HomogeneousLebesgue):
         level = model.z0
@@ -538,20 +544,14 @@ def _check_region(env: EnvironmentRealization, region: Window) -> None:
         )
 
 
-def _clipped_segments(env: EnvironmentRealization, region: Window) -> list[tuple[np.ndarray, np.ndarray, float]]:
+def _clipped_segments(env: EnvironmentRealization, region: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(p, q, mass)``: the pieces of positive length inside ``region``, in segment order."""
     segments = env.segments
-    if not segments:
-        return []
-    hit, cp, cq = _clip_segments(
-        np.array([s.start for s in segments]), np.array([s.end for s in segments]), region
-    )
-    out = []
-    for k in np.flatnonzero(hit):
-        p, q = cp[k], cq[k]
-        length = float(np.linalg.norm(q - p))
-        if length > 0.0:
-            out.append((p, q, length * segments[k].linear_density))
-    return out
+    hit, cp, cq = _clip_segments(segments.start, segments.end, region)
+    p, q = cp[hit], cq[hit]
+    length = row_norms(q - p)
+    keep = length > 0.0
+    return p[keep], q[keep], length[keep] * segments.linear_density[hit][keep]
 
 
 def _midpoint_grid(region: Window, cell: float) -> tuple[np.ndarray, float]:
@@ -581,7 +581,8 @@ def total_mass(
         mass = env.constant_density * region.volume
         return (mass, 0.0) if with_tolerance else mass
     if env.segments is not None:
-        mass = float(sum(m for _, _, m in _clipped_segments(env, region)))
+        # Python's left-to-right sum, not numpy's pairwise one
+        mass = float(sum(_clipped_segments(env, region)[2].tolist()))
         return (mass, 0.0) if with_tolerance else mass
 
     cell = env.grid_hint / 2.0
@@ -612,16 +613,15 @@ def sample_poisson(
         return Configuration.empty(dim)
 
     if env.segments is not None:
-        pieces = _clipped_segments(env, window)
-        points = []
-        for p, q, mass in pieces:
-            k = rng.poisson(z * mass)
-            if k:
-                t = rng.random(k)
-                points.append(p[None, :] + t[:, None] * (q - p)[None, :])
-        if not points:
+        p, q, mass = _clipped_segments(env, window)
+        # a count, then that many positions along the piece, piece by piece
+        # (a draw of zero uniforms leaves the generator as it was)
+        ts = [rng.random(rng.poisson(z * m)) for m in mass.tolist()]
+        piece = np.repeat(np.arange(len(ts)), [len(t) for t in ts])
+        if len(piece) == 0:
             return Configuration.empty(dim)
-        return Configuration(np.concatenate(points, axis=0))
+        t = np.concatenate(ts)[:, None]
+        return Configuration(p[piece] + t * (q - p)[piece])
 
     sup = env.sup_bound
     if sup is None:
@@ -692,17 +692,17 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
             return tuple(_lo[k] + ub.next() * _sides[k] for k in range(_dim))
 
     if env.segments is not None:
-        pieces = _clipped_segments(env, window)
-        total = factor * float(sum(m for _, _, m in pieces))
+        p, q, mass = _clipped_segments(env, window)
+        total = factor * float(sum(mass.tolist()))
         if total == 0.0:
             return 0.0, uniform_draw, None
-        table = [(p.tolist(), (q - p).tolist(), m) for p, q, m in pieces]
-        cum = np.cumsum([m for _, _, m in pieces]).tolist()
+        starts, directions = p.tolist(), (q - p).tolist()
+        cum = np.cumsum(mass).tolist()
 
-        def seg_draw(ub, _table=table, _cum=cum, _dim=dim):
+        def seg_draw(ub, _starts=starts, _directions=directions, _cum=cum, _dim=dim):
             u = ub.next() * _cum[-1]
-            i = bisect.bisect_left(_cum, u)
-            start, direction, _ = _table[min(i, len(_table) - 1)]
+            i = min(bisect.bisect_left(_cum, u), len(_cum) - 1)
+            start, direction = _starts[i], _directions[i]
             t = ub.next()
             return tuple(start[k] + t * direction[k] for k in range(_dim))
 
@@ -786,13 +786,11 @@ def dump_environment_jsonl(
     region = region or env.guard_window
     with open(path, "w") as fh:
         if env.segments is not None:
-            for seg in env.segments:
-                rec = {
-                    "record": "segment",
-                    "start": seg.start.tolist(),
-                    "end": seg.end.tolist(),
-                    "linear_density": seg.linear_density,
-                }
+            segments = env.segments
+            for start, end, w in zip(
+                segments.start.tolist(), segments.end.tolist(), segments.linear_density.tolist()
+            ):
+                rec = {"record": "segment", "start": start, "end": end, "linear_density": w}
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         else:
             pts, vol = _midpoint_grid(region, cell or env.grid_hint)

@@ -30,6 +30,7 @@ from .intensity import (
     ShotNoise,
     VoronoiEdges,
     realize_environment,
+    row_norms,
     sample_poisson,
     total_mass,
 )
@@ -286,18 +287,16 @@ def _rep_env_validate(cfg: ExperimentConfig, index: int) -> dict:
         "count": len(conf),
         "mass": float(total_mass(env, cfg.window)),
     }
-    if env.segments is not None:
-        record["edge_length"] = float(
-            sum(seg.length * seg.linear_density for seg in env.segments)
-        )
+    segments = env.segments
+    if segments is not None:
+        # Python's left-to-right sum, not numpy's pairwise one
+        record["edge_length"] = float(sum((segments.lengths * segments.linear_density).tolist()))
         worst = 0.0
-        for seg in env.segments:
-            if seg.generators is None:
-                continue
-            for probe in (seg.start, seg.end, (seg.start + seg.end) / 2.0):
-                d0 = float(np.linalg.norm(probe - seg.generators[0]))
-                d1 = float(np.linalg.norm(probe - seg.generators[1]))
-                worst = max(worst, abs(d0 - d1))
+        if segments.generators is not None:
+            s, e, g = segments.start, segments.end, segments.generators
+            for probe in (s, e, (s + e) / 2.0):
+                gap = row_norms(probe - g[:, 0]) - row_norms(probe - g[:, 1])
+                worst = max(worst, float(np.abs(gap).max(initial=0.0)))
         record["bisector_max_err"] = worst
     return record
 

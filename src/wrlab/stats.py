@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 METHODS = ("batch-means", "replicate-variance", "wilson", "order-statistic")
 
@@ -48,7 +48,7 @@ def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[f
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
-    z = float(sps.norm.ppf(0.5 + level / 2.0))
+    z = float(special.ndtri(0.5 + level / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -100,6 +100,15 @@ def summarize_replicates(values) -> EstimateWithError:
     return EstimateWithError(float(x.mean()), se, int(x.size), "replicate-variance")
 
 
+def binomial_quantile(q: float, n: int, p: float) -> int:
+    """Smallest k with P(Binomial(n, p) <= k) >= q, for 0 < q < 1: the value of
+    ``scipy.stats.binom.ppf`` without importing ``scipy.stats``.  At exact ties
+    (q = 0.5, p = 0.5, n odd) their cdf codes may round apart by one."""
+    v = math.ceil(special.bdtrik(q, n, p))
+    below = max(v - 1, 0)
+    return below if special.bdtr(below, n, p) >= q else v
+
+
 def order_statistic_estimate(values, p: float) -> EstimateWithError:
     """Empirical ``p``-quantile of i.i.d. values, with a distribution-free error.
 
@@ -110,10 +119,10 @@ def order_statistic_estimate(values, p: float) -> EstimateWithError:
     """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
-    tail = float(sps.norm.cdf(-1.0))
+    tail = float(special.ndtr(-1.0))
     k = min(max(math.ceil(n * p), 1), n) - 1
-    lo = max(int(sps.binom.ppf(tail, n, p)), 1) - 1
-    hi = min(int(sps.binom.ppf(1.0 - tail, n, p)) + 1, n) - 1
+    lo = max(binomial_quantile(tail, n, p), 1) - 1
+    hi = min(binomial_quantile(1.0 - tail, n, p) + 1, n) - 1
     half = 0.5 * float(x[hi] - x[lo]) if np.isfinite(x[hi]) else math.inf
     return EstimateWithError(float(x[k]), half, n, "order-statistic")
 

@@ -16,9 +16,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 from scipy.spatial import cKDTree
 
-from .geometry import Configuration, GridIndex, Window
+from .geometry import GridIndex, Window
 from .intensity import EnvironmentRealization, dominating_measure, sample_poisson, total_mass
 from .rng import UniformBlocks, as_generator, spawn
 from .stats import EstimateWithError, batch_means, pool_independent
@@ -196,6 +197,14 @@ def is_viable(
     return True
 
 
+def _marked_poisson(env: EnvironmentRealization, window: Window, z: float, rng) -> MarkedConfiguration:
+    """Marked Poisson draw at activity ``z`` per color: an unmarked draw at
+    ``2z`` plus an independent fair color coin (exact by the marking theorem)."""
+    base = sample_poisson(env, window, 2.0 * z, rng)
+    colors = rng.integers(0, 2, size=len(base)).astype(np.int8) * 2 - 1
+    return MarkedConfiguration(base.points, colors)
+
+
 def sample_wr_rejection(
     params: WRParams,
     boundary: str,
@@ -205,15 +214,11 @@ def sample_wr_rejection(
 ):
     """Exact draw by rejection: marked Poisson proposals until viable.
 
-    The marked intensity is sampled as an unmarked Poisson at doubled rate
-    plus an independent fair color coin (exact by the marking theorem).
     Raises :class:`RejectionBudgetError` when the budget runs out.
     """
     rng = as_generator(seed)
     for attempt in range(1, max_attempts + 1):
-        base = sample_poisson(params.env, params.window, 2.0 * params.z, rng)
-        colors = rng.integers(0, 2, size=len(base)).astype(np.int8) * 2 - 1
-        candidate = MarkedConfiguration(base.points, colors)
+        candidate = _marked_poisson(params.env, params.window, params.z, rng)
         if is_viable(candidate, params.a, boundary, params.window):
             return (candidate, attempt) if return_attempts else candidate
     raise RejectionBudgetError(max_attempts)
@@ -750,7 +755,6 @@ def dlr_consistency_check(
     if not params.window.contains_window(delta):
         raise ValueError("delta must lie inside the window")
     r = 2.0 * params.a
-    b = wired_color(boundary)
     ss = spawn(seed, 2)
     chain_seed, resample_root = ss
     resample_rng = as_generator(resample_root)
@@ -766,30 +770,15 @@ def dlr_consistency_check(
             near = delta.distance_to_box(out_pts) <= r
             out_pts, out_cols = out_pts[near], out_cols[near]
         for _ in range(resample_attempts):
-            base = sample_poisson(params.env, delta, 2.0 * params.z, resample_rng)
-            new_pts = base.points
-            k = len(new_pts)
-            new_cols = resample_rng.integers(0, 2, size=k).astype(np.int8) * 2 - 1
-            if k:
-                if b is not None:
-                    opp = new_cols == -b
-                    if opp.any() and (
-                        params.window.boundary_distance(new_pts[opp]) <= r
-                    ).any():
-                        continue
-                if k >= 2:
-                    pairs = cKDTree(new_pts).query_pairs(r, output_type="ndarray")
-                    if len(pairs) and (
-                        new_cols[pairs[:, 0]] != new_cols[pairs[:, 1]]
-                    ).any():
-                        continue
-                if len(out_pts):
-                    dists = np.linalg.norm(
-                        new_pts[:, None, :] - out_pts[None, :, :], axis=2
-                    )
-                    conflict = (dists <= r) & (new_cols[:, None] != out_cols[None, :])
-                    if conflict.any():
-                        continue
+            new = _marked_poisson(params.env, delta, params.z, resample_rng)
+            if not is_viable(new, params.a, boundary, params.window):
+                continue
+            new_pts, new_cols = new.positions, new.colors
+            if len(new_pts) and len(out_pts):
+                dists = np.linalg.norm(new_pts[:, None, :] - out_pts[None, :, :], axis=2)
+                conflict = (dists <= r) & (new_cols[:, None] != out_cols[None, :])
+                if conflict.any():
+                    continue
             return new_pts, new_cols
         raise RejectionBudgetError(resample_attempts)
 
@@ -813,8 +802,6 @@ def dlr_consistency_check(
         audit_birth_factor=corrupt_birth_factor,
     )
 
-    from scipy.stats import norm
-
     report: dict = {"alpha": alpha, "retained": len(diffs), "statistics": {}}
     p_values = []
     for i, name in enumerate(stat_names):
@@ -824,7 +811,7 @@ def dlr_consistency_check(
             zscore = 0.0 if est.value == 0.0 else math.inf
         else:
             zscore = est.value / est.stderr
-        p = 2.0 * (1.0 - norm.cdf(abs(zscore)))
+        p = 2.0 * (1.0 - special.ndtr(abs(zscore)))
         p_values.append(p)
         report["statistics"][name] = {
             "mean_difference": est.value,

@@ -9,11 +9,7 @@ import math
 
 import numpy as np
 
-from wrlab.geometry import Configuration, ConnectivityParams, Window, build_components, has_crossing
-from wrlab.intensity import realize_environment, sample_poisson
-from wrlab.percolation import ScanRow
-from wrlab.rng import as_generator, spawn
-from wrlab.stats import pool_replicates, summarize_binomial, wilson_interval
+from wrlab.geometry import Configuration, Window
 
 
 def random_window(rng, dim=2, max_side=10.0) -> Window:
@@ -108,54 +104,3 @@ def count_law_monochrome(m: float, top: int) -> np.ndarray:
     for n in range(1, top + 1):
         probs.append(2.0 * m**n / (math.factorial(n) * norm))
     return np.array(probs)
-
-
-# -- the per-activity percolation scan ------------------------------------------
-#
-# The scan as it was before each replicate got one neighbour graph: a fresh
-# Configuration, labeling and crossing test at every activity.  The library's
-# scan must reproduce its indicators and pooled rows bit for bit.
-
-
-def reference_scan(model, z_grid, a, L, replicates, seed=0, both_axes=False):
-    zs = [float(z) for z in z_grid]
-    window = Window.cube(L, dim=2)
-    z_max = zs[-1]
-    params = ConnectivityParams(a)
-    crossings = np.zeros((replicates, len(zs)), dtype=bool)
-    fractions = np.zeros((replicates, len(zs)))
-    for rep, child in enumerate(spawn(seed, replicates)):
-        if z_max == 0.0:
-            continue
-        env_seed, pts_seed, thin_seed = spawn(child, 3)
-        rng = as_generator(thin_seed)
-        env = realize_environment(model, window, None, env_seed)
-        full = sample_poisson(env, window, z_max, pts_seed)
-        u = rng.random(len(full))
-        for col, z in enumerate(zs):
-            if z == 0.0:
-                continue
-            conf = Configuration(full.points[u <= z / z_max])
-            if len(conf) == 0:
-                continue
-            labeling = build_components(conf, params, window)
-            crossed = has_crossing(labeling, conf, window, 0)
-            if both_axes and crossed:
-                crossed = has_crossing(labeling, conf, window, 1)
-            crossings[rep, col] = crossed
-            fractions[rep, col] = float(labeling.component_sizes().max()) / len(conf)
-    rows = []
-    for col, z in enumerate(zs):
-        successes = int(crossings[:, col].sum())
-        rows.append(
-            ScanRow(
-                z=z,
-                L=L,
-                replicates=replicates,
-                crossing_successes=successes,
-                crossing=summarize_binomial(successes, replicates),
-                crossing_interval=wilson_interval(successes, replicates, 0.99),
-                largest_fraction=pool_replicates(fractions[:, col]),
-            )
-        )
-    return rows, crossings

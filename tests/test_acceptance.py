@@ -358,7 +358,7 @@ def test_criterion_7_environment_validation():
         lengths = []
         for s in range(60):
             env = realize_environment(VoronoiEdges(rho), window, seed=708100 + s)
-            lengths.append(sum(seg.length for seg in env.segments) / window.volume)
+            lengths.append(sum(env.segments.lengths.tolist()) / window.volume)
         mean = float(np.mean(lengths))
         se = float(np.std(lengths, ddof=1) / math.sqrt(len(lengths)))
         sigma = abs(mean - 2.0 * math.sqrt(rho)) / se

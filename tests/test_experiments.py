@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import wrlab
 from wrlab.cli import main
 from wrlab.config import ConfigError, load_config
 from wrlab.runner import RunnerFailure, merge_replicates, run_experiment
@@ -271,6 +274,83 @@ def test_wr_order_parameter_outputs_are_pinned(tmp_path, body, results_sha, repl
     assert digest(f"{out}/replicates.jsonl") == replicates_sha
 
 
+ENV_VALIDATE = """
+[experiment]
+kind = env-validate
+seed = {seed}
+
+[environment]
+{model}
+
+[geometry]
+dim = 2
+a = 0.5
+window_size = 6
+
+[schedule]
+replicates = {reps}
+"""
+
+VORONOI_SCAN = """
+[experiment]
+kind = percolation-scan
+seed = 21
+
+[environment]
+model = voronoi
+seed_intensity = 1.0
+
+[geometry]
+dim = 2
+a = 0.5
+
+[schedule]
+z_grid = 0 0.4 0.8 1.2
+L_list = 6 10
+replicates = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "body, results_sha, replicates_sha",
+    [
+        (
+            VORONOI_SCAN,
+            "207602d43f811eec2bd7ece0a33867c7dd889c914b1ea51346d93410b47e01bd",
+            "149ef4351883caa5c1b6ee5b5016fdba0f6fd473ec84db545c34d9a19d8b3852",
+        ),
+        (
+            ENV_VALIDATE.format(seed=9, model="model = voronoi\nseed_intensity = 1.0", reps=3),
+            "62da47a25a1f9d74dd60413f37d31f8f773d1e6eae343fcadb243e10cbede447",
+            "59a1a89bf0c107e78fb3be58981a911fc9133104d199799eadc92732bda5acb4",
+        ),
+        (
+            ENV_VALIDATE.format(seed=13, model="model = manhattan\nline_intensity = 0.7", reps=4),
+            "9a4e695ce07c8c8e262cdb3acb5c40855efa0e5360386432a8373dcc04c3dfa3",
+            "3889d2b77a08bf058775f9362b078c60d3f76d005e2c1963b32d74b5fd429336",
+        ),
+    ],
+    ids=["voronoi-scan", "voronoi-env-validate", "manhattan-env-validate"],
+)
+def test_segment_environment_outputs_are_pinned(tmp_path, body, results_sha, replicates_sha):
+    # seeded outputs over segment environments, byte for byte: realization,
+    # clipping, masses, the segment Poisson draws and the bisector check.  A
+    # change that moves segment sampling on purpose updates these digests
+    out = str(tmp_path / "out")
+    run_experiment(load_config(write_config(tmp_path, body)), out)
+    assert digest(f"{out}/results.csv") == results_sha
+    assert digest(f"{out}/replicates.jsonl") == replicates_sha
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half a second to import; the CLI needs only
+    # scipy.special, which scipy.sparse loads anyway
+    code = "import sys, wrlab.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wrlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def test_merge_equals_full_run_and_commutes(tmp_path):
     full = load_config(write_config(tmp_path, SCAN.format(reps=6, off=0), "full.cfg"))
     p1 = load_config(write_config(tmp_path, SCAN.format(reps=3, off=0), "p1.cfg"))
@@ -380,14 +460,44 @@ def test_cli_kind_mismatch_is_config_error(tmp_path):
     assert main(["rc-check", "--config", good]) == 2
 
 
-def test_cli_runtime_failure_exit_code(tmp_path):
-    broken = write_config(
-        tmp_path,
-        SCAN.format(reps=2, off=0).replace("model = lebesgue", "model = lebesgue\nguard_margin = -1"),
-        "broken.cfg",
-    )
-    # negative guard margin passes parsing but fails at realization time
-    assert main(["percolation-scan", "--config", broken, "--out", str(tmp_path / "x")]) == 3
+def fail_replicate_one(monkeypatch):
+    """Make replicate 1 of every percolation scan raise; forked workers
+    inherit the patched table."""
+    import wrlab.runner as runner
+
+    original = runner._REPLICATE_PHASE["percolation-scan"]
+
+    def fail_one(cfg, index):
+        if index == 1:
+            raise RuntimeError("replicate 1 forced to fail")
+        return original(cfg, index)
+
+    monkeypatch.setitem(runner._REPLICATE_PHASE, "percolation-scan", fail_one)
+
+
+def test_cli_runtime_failure_exit_code(tmp_path, monkeypatch):
+    path = write_config(tmp_path, SCAN.format(reps=2, off=0))
+    fail_replicate_one(monkeypatch)
+    assert main(["percolation-scan", "--config", path, "--out", str(tmp_path / "x")]) == 3
+
+
+SHOT_NOISE = "model = shot-noise\npp_intensity = 0.6\nkernel_radius = 0.5\nkernel_amplitude = 2.0"
+
+
+@pytest.mark.parametrize(
+    "environment, code",
+    [
+        ("model = lebesgue\nguard_margin = -1", 2),
+        ("model = lebesgue\nguard_margin = 0", 2),
+        (SHOT_NOISE + "\nguard_margin = 0.4", 2),
+        (SHOT_NOISE + "\nguard_margin = 0.5", 0),
+    ],
+    ids=["negative", "zero", "below-kernel-radius", "at-kernel-radius"],
+)
+def test_validate_checks_the_guard_margin(tmp_path, capsys, environment, code):
+    body = SCAN.format(reps=2, off=0).replace("model = lebesgue\nz0 = 1.0", environment)
+    assert main(["validate", "--config", write_config(tmp_path, body)]) == code
+    assert ("guard_margin" in capsys.readouterr().err) is (code == 2)
 
 
 def test_cli_check_failure_exit_code(tmp_path):
@@ -438,13 +548,9 @@ def test_config_from_resolved_round_trips_hash(tmp_path):
     assert rebuilt.z_grid == cfg.z_grid
 
 
-def test_runtime_failure_marks_manifest_incomplete(tmp_path):
-    broken = write_config(
-        tmp_path,
-        SCAN.format(reps=2, off=0).replace("model = lebesgue", "model = lebesgue\nguard_margin = -1"),
-        "broken.cfg",
-    )
-    cfg = load_config(broken)
+def test_runtime_failure_marks_manifest_incomplete(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, SCAN.format(reps=2, off=0)))
+    fail_replicate_one(monkeypatch)
     with pytest.raises(RunnerFailure):
         run_experiment(cfg, str(tmp_path / "x"))
     manifest = json.load(open(tmp_path / "x" / "manifest.json"))
@@ -509,15 +615,6 @@ def test_delta_size_is_centred_and_delta_must_fit_every_window(tmp_path):
 
 
 def test_cli_verbose_prints_progress_and_the_full_traceback(tmp_path, monkeypatch, capsys):
-    import wrlab.runner as runner
-
-    original = runner._REPLICATE_PHASE["percolation-scan"]
-
-    def fail_one(cfg, index):
-        if index == 1:
-            raise RuntimeError("replicate 1 forced to fail")
-        return original(cfg, index)
-
     path = write_config(tmp_path, SCAN.format(reps=3, off=0))
     out = {}
     for verbose in (False, True):
@@ -529,8 +626,7 @@ def test_cli_verbose_prints_progress_and_the_full_traceback(tmp_path, monkeypatc
     for name in ("results.csv", "replicates.jsonl"):
         assert digest(f"{out[False]}/{name}") == digest(f"{out[True]}/{name}")
 
-    # a forked worker inherits the patched table
-    monkeypatch.setitem(runner._REPLICATE_PHASE, "percolation-scan", fail_one)
+    fail_replicate_one(monkeypatch)
     for workers in ("1", "2"):
         argv = ["percolation-scan", "--config", path, "--workers", workers]
         assert main([*argv, "--out", str(tmp_path / f"quiet{workers}")]) == 3
@@ -548,17 +644,7 @@ def test_cli_verbose_prints_progress_and_the_full_traceback(tmp_path, monkeypatc
 
 
 def test_failed_replicate_keeps_the_finished_ones_for_any_worker_count(tmp_path, monkeypatch):
-    import wrlab.runner as runner
-
-    original = runner._REPLICATE_PHASE["percolation-scan"]
-
-    def fail_one(cfg, index):
-        if index == 1:
-            raise RuntimeError("replicate 1 forced to fail")
-        return original(cfg, index)
-
-    # a forked worker inherits the patched table
-    monkeypatch.setitem(runner._REPLICATE_PHASE, "percolation-scan", fail_one)
+    fail_replicate_one(monkeypatch)
     outputs = []
     for workers in (1, 2):
         cfg = load_config(write_config(tmp_path, SCAN.format(reps=4, off=0)))

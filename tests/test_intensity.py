@@ -16,7 +16,7 @@ from wrlab.intensity import (
     HomogeneousLebesgue,
     ManhattanGrid,
     RandomSetIndicator,
-    Segment,
+    SegmentSet,
     ShotNoise,
     SupBoundViolation,
     VoronoiEdges,
@@ -32,10 +32,12 @@ from wrlab.rng import as_generator, spawn
 UNIT = Window.cube(1.0, 2)
 
 
-def segment_env(segments, window):
+def segment_env(start, end, linear_density, window):
     """Hand-built segment realization (mass-per-length measure)."""
     return EnvironmentRealization(
-        model=ManhattanGrid(0.0), guard_window=window, segments=tuple(segments)
+        model=ManhattanGrid(0.0),
+        guard_window=window,
+        segments=SegmentSet(start, end, linear_density),
     )
 
 
@@ -72,8 +74,8 @@ def test_realization_determinism():
         assert np.array_equal(c.points, d.points)
         if a.segments is not None:
             assert len(a.segments) == len(b.segments)
-            for s, t in zip(a.segments, b.segments):
-                assert np.array_equal(s.start, t.start) and np.array_equal(s.end, t.end)
+            assert np.array_equal(a.segments.start, b.segments.start)
+            assert np.array_equal(a.segments.end, b.segments.end)
 
 
 def test_guard_margin_validation():
@@ -81,6 +83,49 @@ def test_guard_margin_validation():
         realize_environment(HomogeneousLebesgue(1.0), UNIT, guard_margin=0.0)
     with pytest.raises(GuardMarginError):
         realize_environment(ShotNoise(1.0, 0.5, 1.0), UNIT, guard_margin=0.2)
+
+
+def test_segment_set_validates_its_arrays():
+    start, end = np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 3.0]])
+    segments = SegmentSet(start, end, [1.0, 0.5], generators=np.zeros((2, 2, 2)))
+    assert len(segments) == 2
+    assert segments.lengths.tolist() == [1.0, 2.0]
+    # copies, read-only
+    for arr in (segments.start, segments.end, segments.linear_density, segments.generators):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
+    start[0, 0] = 5.0
+    assert segments.start[0, 0] == 0.0
+    assert len(SegmentSet(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))) == 0
+
+    # endpoints equal within np.allclose's tolerance, in every coordinate
+    close = np.array([[1.0, 1.0], [1.0 + 1e-9, 1.0 - 1e-9]])
+    with pytest.raises(ValueError, match="distinct"):
+        SegmentSet(close[None, 0], close[None, 1], [1.0])
+    apart = np.array([[1.0, 1.0], [1.0 + 1e-4, 1.0]])
+    assert len(SegmentSet(apart[None, 0], apart[None, 1], [1.0])) == 1
+    with pytest.raises(ValueError, match="linear_density"):
+        SegmentSet(start, end, [1.0, -0.5])
+    for bad_start, bad_end, density in (
+        (start, end[:1], [1.0, 1.0]),  # end rows
+        (start, end, [1.0]),  # density rows
+        (start[:, :1], end, [1.0, 1.0]),  # end columns
+        (start.ravel(), end.ravel(), [1.0] * 4),  # not (n, d)
+    ):
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
+            SegmentSet(bad_start, bad_end, density)
+    for generators in (np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((2, 3, 2))):
+        with pytest.raises(ValueError, match="generators"):
+            SegmentSet(start, end, [1.0, 1.0], generators=generators)
+    with pytest.raises(ValueError, match="finite"):
+        SegmentSet(start, np.array([[1.0, 0.0], [np.inf, 3.0]]), [1.0, 1.0])
+
+
+def test_row_norms_round_like_the_norm_of_each_row():
+    # the per-segment lengths used to be np.linalg.norm of one row at a time
+    rng = np.random.default_rng(8)
+    d = rng.uniform(-20.0, 20.0, size=(20000, 2)) * rng.choice([1e-6, 1.0, 1e3], size=(20000, 1))
+    assert intensity.row_norms(d).tolist() == [float(np.linalg.norm(row)) for row in d]
 
 
 def test_singular_models_require_dimension_two():
@@ -101,8 +146,7 @@ def test_total_mass_constant_density():
 
 def test_total_mass_single_segment():
     win = Window.cube(5.0, 2)
-    seg = Segment(np.array([1.0, 1.0]), np.array([4.0, 1.0]), 2.0)
-    env = segment_env([seg], win)
+    env = segment_env([[1.0, 1.0]], [[4.0, 1.0]], [2.0], win)
     assert abs(total_mass(env, win) - 6.0) < 1e-12
     # clipping: only 2 of the 3 length units inside the region
     region = Window(np.array([2.0, 0.0]), np.array([4.0, 5.0]))
@@ -198,16 +242,16 @@ def test_sample_location_uniform_chi_square():
 
 def test_sample_location_on_segment_is_arclength_uniform():
     win = Window.cube(5.0, 2)
-    seg = Segment(np.array([1.0, 1.0]), np.array([4.0, 4.0]), 1.0)
-    env = segment_env([seg], win)
+    env = segment_env([[1.0, 1.0]], [[4.0, 4.0]], [1.0], win)
+    start, end, length = env.segments.start[0], env.segments.end[0], env.segments.lengths[0]
     children = spawn(7, 2000)
     pts = np.array([sample_location(env, win, s) for s in children])
-    direction = (seg.end - seg.start) / seg.length
-    offsets = pts - seg.start
+    direction = (end - start) / length
+    offsets = pts - start
     along = offsets @ direction
     perp = np.abs(offsets @ np.array([-direction[1], direction[0]]))
     assert perp.max() < 1e-9
-    _, p = sps.kstest(along / seg.length, "uniform")
+    _, p = sps.kstest(along / length, "uniform")
     assert p > 0.01
 
 
@@ -231,12 +275,12 @@ def test_sample_location_zero_mass_raises():
 
 def test_segment_sampler_counts_proportional_to_mass():
     win = Window.cube(10.0, 2)
-    segs = [
-        Segment(np.array([1.0, 1.0]), np.array([3.0, 1.0]), 1.0),  # mass 2
-        Segment(np.array([1.0, 3.0]), np.array([7.0, 3.0]), 1.0),  # mass 6
-        Segment(np.array([1.0, 5.0]), np.array([2.0, 5.0]), 4.0),  # mass 4
-    ]
-    env = segment_env(segs, win)
+    env = segment_env(
+        [[1.0, 1.0], [1.0, 3.0], [1.0, 5.0]],
+        [[3.0, 1.0], [7.0, 3.0], [2.0, 5.0]],
+        [1.0, 1.0, 4.0],  # masses 2, 6 and 4
+        win,
+    )
     rng = as_generator(21)
     counts = np.zeros(3)
     for _ in range(400):
@@ -253,13 +297,13 @@ def test_segment_sampler_counts_proportional_to_mass():
 
 def test_voronoi_segments_lie_on_bisectors():
     env = realize_environment(VoronoiEdges(1.5), Window.cube(6.0, 2), seed=11)
-    assert env.segments
-    for seg in env.segments:
-        g0, g1 = seg.generators
-        for probe in (seg.start, seg.end, (seg.start + seg.end) / 2.0):
-            d0 = np.linalg.norm(probe - g0)
-            d1 = np.linalg.norm(probe - g1)
-            assert abs(d0 - d1) < 1e-9
+    segments = env.segments
+    assert len(segments)
+    g0, g1 = segments.generators[:, 0], segments.generators[:, 1]
+    for probe in (segments.start, segments.end, (segments.start + segments.end) / 2.0):
+        d0 = np.linalg.norm(probe - g0, axis=1)
+        d1 = np.linalg.norm(probe - g1, axis=1)
+        assert np.abs(d0 - d1).max() < 1e-9
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.0])
@@ -269,7 +313,7 @@ def test_voronoi_edge_length_intensity(rho):
     lengths = []
     for s in range(60):
         env = realize_environment(VoronoiEdges(rho), win, seed=1000 + s)
-        lengths.append(sum(seg.length for seg in env.segments) / win.volume)
+        lengths.append(env.segments.lengths.sum() / win.volume)
     mean = np.mean(lengths)
     se = np.std(lengths, ddof=1) / math.sqrt(len(lengths))
     assert abs(mean - 2.0 * math.sqrt(rho)) <= 3.0 * se
@@ -281,7 +325,7 @@ def test_manhattan_line_length_intensity():
     lengths = []
     for s in range(150):
         env = realize_environment(ManhattanGrid(lam), win, seed=500 + s)
-        lengths.append(sum(seg.length for seg in env.segments) / win.volume)
+        lengths.append(env.segments.lengths.sum() / win.volume)
     mean = np.mean(lengths)
     se = np.std(lengths, ddof=1) / math.sqrt(len(lengths))
     assert abs(mean - 2.0 * lam) <= 3.0 * se
@@ -342,7 +386,7 @@ def test_dominating_measure_exact_for_constant_and_segments():
     assert total == 2.0 * 1.5 * 2.0
     assert thin is None
     win = Window.cube(5.0, 2)
-    seg_env = segment_env([Segment(np.array([1.0, 1.0]), np.array([4.0, 1.0]), 2.0)], win)
+    seg_env = segment_env([[1.0, 1.0]], [[4.0, 1.0]], [2.0], win)
     total, draw, thin = dominating_measure(seg_env, win, 2.0, color_doubled=False)
     assert abs(total - 12.0) < 1e-12
     assert thin is None

@@ -18,8 +18,6 @@ from wrlab.percolation import (
     threshold_from_rows,
 )
 
-from helpers import reference_scan
-
 WIN = Window.cube(8.0, 2)
 
 
@@ -138,22 +136,6 @@ def test_crossing_level_and_largest_fraction_match_labeling_each_subset(sites):
         for axis in (0, 1):
             assert (levels[axis] <= t) == has_crossing(labeling, conf, win, axis)
         assert largest_fraction(u, pairs, t) == largest_component_fraction(conf, a, win)
-
-
-@pytest.mark.parametrize(
-    "model, z_grid, both_axes",
-    [
-        (HomogeneousLebesgue(1.0), [0.0, 0.6, 1.1, 1.5, 2.0], False),
-        (VoronoiEdges(1.0), [0.3, 0.6, 0.9, 1.3], True),
-    ],
-)
-def test_scan_matches_per_activity_reference(model, z_grid, both_axes):
-    rows, indicators = estimate_crossing_probability(
-        model, z_grid, 0.5, 8.0, 12, seed=11, both_axes=both_axes, return_indicators=True
-    )
-    ref_rows, ref_indicators = reference_scan(model, z_grid, 0.5, 8.0, 12, seed=11, both_axes=both_axes)
-    assert np.array_equal(indicators, ref_indicators)
-    assert rows == ref_rows
 
 
 def test_critical_intensity_quantile_is_sane():

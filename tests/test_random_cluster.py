@@ -103,13 +103,8 @@ def test_incremental_count_consistent_over_segment_environment():
     records, final, _ = run_rc_chain(params, settings, seed=7, record=lambda ch: ch.n)
     if len(final):
         # chain points live on the environment's segments
-        dists = []
-        for p in final.points:
-            best = min(
-                _point_segment_distance(p, seg.start, seg.end) for seg in env.segments
-            )
-            dists.append(best)
-        assert max(dists) < 1e-9
+        dists = _point_segment_distances(final.points, env.segments.start, env.segments.end)
+        assert dists.min(axis=1).max() < 1e-9
 
 
 @hypothesis_settings(max_examples=40, deadline=None)
@@ -146,10 +141,12 @@ def test_incremental_count_matches_recount_after_every_move(sites, z, seed, move
         assert_count_matches()
 
 
-def _point_segment_distance(p, a, b):
+def _point_segment_distances(points, a, b):
+    """(points, segments) distances from each point to each segment a[j] b[j]."""
     ab = b - a
-    t = float(np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0))
-    return float(np.linalg.norm(a + t * ab - p))
+    ap = points[:, None, :] - a[None, :, :]
+    t = np.clip((ap * ab).sum(axis=2) / (ab * ab).sum(axis=1), 0.0, 1.0)
+    return np.linalg.norm(a + t[:, :, None] * ab - points[:, None, :], axis=2)
 
 
 def test_step_rc_changes_state_by_at_most_one_point():

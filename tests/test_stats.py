@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats as sps
 
 from wrlab.stats import (
     EstimateWithError,
     batch_means,
+    binomial_quantile,
     combined_sigma,
     lag1_autocorrelation,
     pool_independent,
@@ -80,6 +82,21 @@ def test_order_statistic_estimate_ranks_and_censoring():
     assert est.method == "order-statistic" and est.n == 100
     censored = order_statistic_estimate([1.0] * 52 + [math.inf] * 48, 0.5)
     assert censored.value == 1.0 and censored.stderr == math.inf
+
+
+def test_binomial_quantile_matches_scipy_stats_at_the_one_sigma_tails():
+    # the ranks of the order-statistic interval, on a grid of n and p
+    tail = float(special.ndtr(-1.0))
+    assert tail == float(sps.norm.cdf(-1.0))
+    ns = np.arange(1, 1001)
+    for p in (1e-6, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 0.99, 1 - 1e-6):
+        for q in (tail, 1.0 - tail):
+            expected = sps.binom.ppf(q, ns, p).astype(int).tolist()
+            assert [binomial_quantile(q, int(n), p) for n in ns] == expected, (p, q)
+    # exact ties P(X <= 0) = q, where the inverse in k lands just above 0
+    ties = [(0.75, 1, 0.25), (0.25, 2, 0.5), (0.25, 1, 0.75)]
+    assert [binomial_quantile(q, n, p) for q, n, p in ties] == [0, 0, 0]
+    assert [int(sps.binom.ppf(q, n, p)) for q, n, p in ties] == [0, 0, 0]
 
 
 def test_replicate_variance_matches_formula():
