@@ -57,6 +57,7 @@ from .wr_gibbs import (
     MarkedConfiguration,
     MCMCSettings,
     WRParams,
+    block_gibbs_counts,
     dlr_consistency_check,
     estimate_order_parameter,
     is_viable,

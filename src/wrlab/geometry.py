@@ -96,6 +96,20 @@ class Window:
         return np.sqrt((gap**2).sum(axis=1))
 
 
+def has_duplicate_rows(pts: np.ndarray) -> bool:
+    """Whether two rows of an (n, d) array are equal, as ``np.unique(axis=0)``
+    finds them (``-0.0 == 0.0``).
+
+    A lexicographic sort puts equal rows next to each other, so one
+    comparison of neighbouring rows finds every duplicate.
+    """
+    if len(pts) < 2:
+        return False
+    if pts.shape[1]:
+        pts = pts[np.lexsort(pts.T[::-1])]
+    return bool((pts[1:] == pts[:-1]).all(axis=1).any())
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A finite unmarked point set, stored as an (n, d) array.
@@ -112,7 +126,7 @@ class Configuration:
             raise ValueError("points must be an (n, d) array; use Configuration.empty(d)")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
-        if len(pts) > 1 and len(np.unique(pts, axis=0)) != len(pts):
+        if has_duplicate_rows(pts):
             raise ValueError("duplicate points are not allowed")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -145,11 +145,11 @@ def _rep_wr_order_parameter(cfg: ExperimentConfig, index: int) -> dict:
         env = _env_for(cfg, window, env_seed)
         delta = cfg.delta if cfg.delta is not None else default_delta(window)
         for z in cfg.z_grid:
-            cell = {"L": float(window.sides[0]), "z": z, "psi": 0.0, "stderr": 0.0, "retained": 1}
+            cell = {"L": float(window.sides[0]), "z": z, "psi": 0.0, "stderr": 0.0, "retained": 1, "lag1": 0.0}
             if z != 0.0:
                 params = WRParams(cfg.a, z, env, window)
-                est, _ = order_parameter_chain(params, delta, cfg.settings, children[k])
-                cell.update(psi=est.value, stderr=est.stderr, retained=est.n)
+                est, lag1 = order_parameter_chain(params, delta, cfg.settings, children[k])
+                cell.update(psi=est.value, stderr=est.stderr, retained=est.n, lag1=lag1)
             cells.append(cell)
             k += 1
     return {"index": index, "cells": cells}
@@ -162,13 +162,23 @@ def _rep_rc_check(cfg: ExperimentConfig, index: int) -> dict:
     children = seed.spawn(2 * len(cfg.z_grid))
     for i, z in enumerate(cfg.z_grid):
         if z == 0.0:
-            cells.append({"z": z, "psi": 0.0, "psi_se": 0.0, "nb": 0.0, "nb_se": 0.0})
+            cells.append(
+                {"z": z, "psi": 0.0, "psi_se": 0.0, "psi_lag1": 0.0, "nb": 0.0, "nb_se": 0.0, "nb_lag1": 0.0}
+            )
             continue
         rc_params = RCParams(cfg.a, z, env, cfg.window)
-        psi, _ = order_parameter_chain(rc_params.as_wr(), cfg.delta, cfg.settings, children[2 * i])
-        nb, _ = boundary_connected_chain(rc_params, cfg.delta, cfg.settings, children[2 * i + 1])
+        psi, psi_lag1 = order_parameter_chain(rc_params.as_wr(), cfg.delta, cfg.settings, children[2 * i])
+        nb, nb_lag1 = boundary_connected_chain(rc_params, cfg.delta, cfg.settings, children[2 * i + 1])
         cells.append(
-            {"z": z, "psi": psi.value, "psi_se": psi.stderr, "nb": nb.value, "nb_se": nb.stderr}
+            {
+                "z": z,
+                "psi": psi.value,
+                "psi_se": psi.stderr,
+                "psi_lag1": psi_lag1,
+                "nb": nb.value,
+                "nb_se": nb.stderr,
+                "nb_lag1": nb_lag1,
+            }
         )
     return {"index": index, "cells": cells}
 

@@ -2,10 +2,11 @@
 
 A marked configuration is viable when opposite-colored points are more than
 2a apart; a wired boundary additionally forbids the opposite color within 2a
-of the window boundary.  Two exact-in-law samplers are provided: plain
-rejection (small mass only) and a birth-death-recolor Metropolis chain whose
-stationary law is the finite-volume conditional measure.  Both feed the
-order-parameter estimate and the consistency check against the defining
+of the window boundary.  Three exact-in-law samplers are provided: plain
+rejection (small mass only), an alternating-colour block Gibbs sampler that
+feeds the order-parameter estimate, and a single-site birth-death-recolor
+Metropolis chain.  The single-site chain is the block sampler's independent
+oracle and runs the consistency check against the defining
 conditional-resampling property.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import special
 from scipy.spatial import cKDTree
 
-from .geometry import GridIndex, Window
+from .geometry import GridIndex, Window, has_duplicate_rows
 from .intensity import EnvironmentRealization, dominating_measure, sample_poisson, total_mass
 from .rng import UniformBlocks, as_generator, spawn
 from .stats import EstimateWithError, batch_means, pool_independent
@@ -62,7 +63,7 @@ class MarkedConfiguration:
             raise ValueError("positions must be finite")
         if cols.size and not np.isin(cols, (PLUS, MINUS)).all():
             raise ValueError("colors must be +1 or -1")
-        if len(pts) > 1 and len(np.unique(pts, axis=0)) != len(pts):
+        if has_duplicate_rows(pts):
             raise ValueError("duplicate positions are not allowed")
         pts.flags.writeable = False
         cols.flags.writeable = False
@@ -123,12 +124,17 @@ class WRParams:
 class MCMCSettings:
     """Schedule for the chains.
 
-    A sweep is ``moves_per_sweep`` elementary moves (by default one per unit
-    of expected mass); one value is recorded every ``thinning`` sweeps after
-    ``burn_in``.  ``recolor_cluster_cap`` bounds the cluster size the recolor
-    move will flip; larger same-color clusters are left alone, which keeps
-    the move O(cap) without touching the stationary law (the proposal stays
-    self-inverse).
+    One value is recorded every ``thinning`` sweeps after ``burn_in``, and
+    the records are cut into ``batch_count`` batches.  What a sweep is
+    depends on the sampler.  In the block Gibbs sampler
+    (:func:`block_gibbs_counts`) a sweep redraws both colours once.  In the
+    single-site chains (:func:`run_wr_chain` and the weighted chain) a sweep
+    is ``moves_per_sweep`` elementary moves (by default one per unit of
+    expected mass) drawn by ``move_mix``, and ``recolor_cluster_cap`` bounds
+    the cluster size the recolor move will flip; larger same-color clusters
+    are left alone, which keeps the move O(cap) without touching the
+    stationary law (the proposal stays self-inverse).  These three settings
+    have no effect on the block sampler.
     """
 
     sweeps: int = 2000
@@ -636,22 +642,86 @@ def birth_death_log_ratio(n: int, total_mass: float) -> float:
     return math.log(total_mass) - math.log(n + 1)
 
 
+def _clear_of(cand: np.ndarray, other: np.ndarray, r: float) -> np.ndarray:
+    """Mask of the candidates more than ``r`` from every point of ``other``.
+
+    The rule is :func:`is_viable`'s: a distance ``<= r`` excludes.  The tree
+    only finds each candidate's nearest point; the comparison with ``r`` is
+    made here, on squared distances summed axis by axis.
+    """
+    keep = np.ones(len(cand), dtype=bool)
+    if len(cand) == 0 or len(other) == 0:
+        return keep
+    _, idx = cKDTree(other).query(cand, distance_upper_bound=2.0 * r)
+    near = np.flatnonzero(idx < len(other))
+    diff = cand[near] - other[idx[near]]
+    d2 = diff[:, 0] * diff[:, 0]
+    for k in range(1, diff.shape[1]):
+        d2 += diff[:, k] * diff[:, k]
+    keep[near[d2 <= r * r]] = False
+    return keep
+
+
+def _redraw(params: WRParams, color: int, other: np.ndarray, wired: int | None, rng) -> np.ndarray:
+    """One exact conditional draw of a colour's points given the other colour.
+
+    A Poisson draw at activity ``z`` per unit of environment, kept where it
+    is more than 2a from every ``other`` point and, for the colour opposite
+    to a wired boundary, more than 2a from the boundary.
+    """
+    r = 2.0 * params.a
+    cand = sample_poisson(params.env, params.window, params.z, rng).points
+    keep = _clear_of(cand, other, r)
+    if wired == -color:
+        keep &= params.window.boundary_distance(cand) > r
+    return cand[keep]
+
+
+def block_gibbs_counts(
+    params: WRParams, boundary: str, settings: MCMCSettings, seed, count_box: Window
+) -> np.ndarray:
+    """Alternating-colour block Gibbs sampler of the two-coloured measure.
+
+    A sweep redraws each colour once from its exact conditional law given
+    the other (:func:`_redraw`; Häggström, van Lieshout & Møller, Bernoulli 5
+    (1999) 641-658).  The chain starts empty and redraws the wired colour
+    first, plus under a free boundary.  Returns the (plus, minus) counts in
+    ``count_box`` at every retained sweep, one row each.
+    """
+    if not params.window.contains_window(count_box):
+        raise ValueError("count box must lie inside the window")
+    rng = as_generator(seed)
+    wired = wired_color(boundary)
+    first = MINUS if wired == MINUS else PLUS
+    points = {PLUS: np.zeros((0, params.window.dim)), MINUS: np.zeros((0, params.window.dim))}
+    counts = []
+    for sweep in range(settings.sweeps):
+        for color in (first, -first):
+            points[color] = _redraw(params, color, points[-color], wired, rng)
+        if sweep >= settings.burn_in and (sweep - settings.burn_in) % settings.thinning == 0:
+            if settings.debug_checks:
+                state = MarkedConfiguration(
+                    np.concatenate([points[PLUS], points[MINUS]]),
+                    np.repeat([PLUS, MINUS], [len(points[PLUS]), len(points[MINUS])]),
+                )
+                if not is_viable(state, params.a, boundary, params.window):
+                    raise AssertionError("block sampler state lost viability")
+            counts.append(
+                (int(count_box.contains(points[PLUS]).sum()), int(count_box.contains(points[MINUS]).sum()))
+            )
+    return np.array(counts, dtype=np.int64).reshape(-1, 2)
+
+
 def order_parameter_chain(
     params: WRParams, delta: Window, settings: MCMCSettings, seed
 ) -> tuple[EstimateWithError, float]:
-    """One plus-wired chain: batch means of ``n_plus - n_minus`` in ``delta``.
+    """One plus-wired block Gibbs chain: batch means of ``n_plus - n_minus``
+    in ``delta``.
 
     Returns the estimate and the lag-1 autocorrelation of its batch series.
     """
-    records, _, _ = run_wr_chain(
-        params,
-        PLUS_WIRED,
-        settings,
-        seed,
-        record=lambda ch: ch.order_parameter_value(),
-        count_box=delta,
-    )
-    return batch_means(records, settings.batch_count)
+    counts = block_gibbs_counts(params, PLUS_WIRED, settings, seed, delta)
+    return batch_means(counts[:, 0] - counts[:, 1], settings.batch_count)
 
 
 def estimate_order_parameter(
@@ -665,6 +735,7 @@ def estimate_order_parameter(
 ) -> EstimateWithError:
     """Mean plus-minus count gap in ``delta`` under the plus-wired measure.
 
+    Both modes run the block Gibbs sampler (:func:`block_gibbs_counts`).
     ``single`` runs one plus-wired chain per replicate and averages
     ``n_plus - n_minus``; ``two-chain`` runs plus- and minus-wired chains and
     differences the plus counts (equal in law by color symmetry, exposed as a
@@ -678,38 +749,27 @@ def estimate_order_parameter(
         raise ValueError("delta must lie inside the window")
     if params.z == 0.0:
         return EstimateWithError(0.0, 0.0, 1, "batch-means")
-    children = spawn(seed, replicates)
     estimates = []
     flagged = False
-    for child in children:
+    for child in spawn(seed, replicates):
         if mode == "single":
             est, lag1 = order_parameter_chain(params, delta, settings, child)
-            flagged = flagged or lag1 > 0.5
-            estimates.append(est)
+            lags = [lag1]
         else:
-            sub = spawn(child, 2)
             sides = []
-            for branch, boundary in zip(sub, (PLUS_WIRED, MINUS_WIRED)):
-                records, _, _ = run_wr_chain(
-                    params,
-                    boundary,
-                    settings,
-                    branch,
-                    record=lambda ch: ch.box_counts[0],
-                    count_box=delta,
-                )
-                est, lag1 = batch_means(records, settings.batch_count)
-                flagged = flagged or lag1 > 0.5
-                sides.append(est)
-            plus_side, minus_side = sides
-            estimates.append(
-                EstimateWithError(
-                    plus_side.value - minus_side.value,
-                    math.hypot(plus_side.stderr, minus_side.stderr),
-                    plus_side.n + minus_side.n,
-                    "batch-means",
-                )
+            for boundary, branch in zip((PLUS_WIRED, MINUS_WIRED), spawn(child, 2)):
+                counts = block_gibbs_counts(params, boundary, settings, branch, delta)
+                sides.append(batch_means(counts[:, 0], settings.batch_count))
+            (plus_side, plus_lag1), (minus_side, minus_lag1) = sides
+            est = EstimateWithError(
+                plus_side.value - minus_side.value,
+                math.hypot(plus_side.stderr, minus_side.stderr),
+                plus_side.n + minus_side.n,
+                "batch-means",
             )
+            lags = [plus_lag1, minus_lag1]
+        flagged = flagged or max(lags) > 0.5
+        estimates.append(est)
     if flagged:
         message = "batch series autocorrelation above 0.5; lengthen the chain"
         if strict:

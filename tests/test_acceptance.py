@@ -42,7 +42,7 @@ from wrlab.random_cluster import (
     papangelou_ratio_batch,
 )
 from wrlab.rng import as_generator, spawn
-from wrlab.stats import batch_means, total_variation
+from wrlab.stats import total_variation
 from wrlab.wr_gibbs import (
     FREE,
     PLUS,
@@ -50,6 +50,7 @@ from wrlab.wr_gibbs import (
     MCMCSettings,
     WRParams,
     dlr_consistency_check,
+    order_parameter_chain,
     run_wr_chain,
     sample_wr_rejection,
 )
@@ -173,28 +174,12 @@ def test_criterion_4_symmetry_breaking():
     env = realize_environment(model, window, seed=408002)
 
     high_settings = MCMCSettings(sweeps=360, burn_in=110, thinning=1, batch_count=16)
-    records, _, _ = run_wr_chain(
-        WRParams(a, z_high, env, window),
-        PLUS_WIRED,
-        high_settings,
-        seed=408003,
-        record=lambda ch: ch.order_parameter_value(),
-        count_box=delta,
-    )
-    high, _ = batch_means(records, high_settings.batch_count)
+    high, _ = order_parameter_chain(WRParams(a, z_high, env, window), delta, high_settings, 408003)
     z99 = 2.5758293035489004
     high_excludes_zero = high.value - z99 * high.stderr > 0.0
 
     low_settings = MCMCSettings(sweeps=2600, burn_in=600, thinning=2, batch_count=16)
-    records, _, _ = run_wr_chain(
-        WRParams(a, z_low, env, window),
-        PLUS_WIRED,
-        low_settings,
-        seed=408004,
-        record=lambda ch: ch.order_parameter_value(),
-        count_box=delta,
-    )
-    low, _ = batch_means(records, low_settings.batch_count)
+    low, _ = order_parameter_chain(WRParams(a, z_low, env, window), delta, low_settings, 408004)
     low_contains_zero = abs(low.value) <= z99 * low.stderr
     elapsed = time.time() - start
     ok = high_excludes_zero and low_contains_zero and elapsed < 900.0

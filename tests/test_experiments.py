@@ -254,24 +254,28 @@ thinning = 1
     [
         (
             WROP_RANDOM_SET,
-            "0de975bdf218ec357dd2cd026449d8888174f6393e366517f764dc593d4d4f53",
-            "083a5248d7f2b029e7a21b2469ae8ddd89fdbe69ad270c6e73b3ee63381bea75",
+            "d06ff3c8b60a4a2b601f40970756dfe1d37ce0805392e77d397a89b5f4ae7ee1",
+            "73bb7fa12e51a15a7fc74bc35af7da4f06a82255c1a0e4c578c7c6faaa9e4044",
         ),
         (
             WROP_SHOT_NOISE,
-            "90c27b0f6cc2ead3cd3af50636bac6a3266d18f357e92af3ea5e3d3ab6bb60e6",
-            "8d87c724c91595215f067c566c1fd384645a55c5028e286737dd0962d2b44342",
+            "3616a95bb82bc6fa90113bd805e25dbf77f090c32c3e77c70d9c0134cdaab6b6",
+            "9d743e232144b166059f08dac0fbe1fab600666e137baa4e5201a2f7cc94b26c",
         ),
     ],
     ids=["random-set", "shot-noise"],
 )
 def test_wr_order_parameter_outputs_are_pinned(tmp_path, body, results_sha, replicates_sha):
-    # the WR chain's seeded outputs, byte for byte; a change to WR sampling
-    # that moves them on purpose updates these digests and says so
+    # the block Gibbs sampler's seeded outputs, byte for byte; a change to
+    # WR sampling that moves them on purpose updates these digests and says so
     out = str(tmp_path / "out")
     run_experiment(load_config(write_config(tmp_path, body)), out)
     assert digest(f"{out}/results.csv") == results_sha
     assert digest(f"{out}/replicates.jsonl") == replicates_sha
+    # every cell carries its chain's batch lag-1 autocorrelation
+    records = [json.loads(line) for line in open(f"{out}/replicates.jsonl")]
+    cells = [cell for rec in records if rec["record"] == "replicate" for cell in rec["cells"]]
+    assert cells and all(-1.0 <= cell["lag1"] <= 1.0 for cell in cells)
 
 
 ENV_VALIDATE = """
@@ -443,6 +447,12 @@ def test_rc_check_experiment_passes_and_reports(tmp_path):
     manifest = run_experiment(cfg, str(tmp_path / "rc"))
     assert manifest.passed is True
     assert "identity_z_0.5" in manifest.criteria
+    # each cell carries both chains' batch lag-1 autocorrelation
+    records = [json.loads(line) for line in open(tmp_path / "rc" / "replicates.jsonl")]
+    cells = [cell for rec in records if rec["record"] == "replicate" for cell in rec["cells"]]
+    assert len(cells) == 2
+    for cell in cells:
+        assert -1.0 <= cell["psi_lag1"] <= 1.0 and -1.0 <= cell["nb_lag1"] <= 1.0
 
 
 # -- CLI ---------------------------------------------------------------------------

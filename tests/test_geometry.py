@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings as hypothesis_settings, strategies as st
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 from wrlab.geometry import (
     ComponentLabeling,
@@ -12,7 +12,10 @@ from wrlab.geometry import (
     brute_force_components,
     build_components,
     has_crossing,
+    has_duplicate_rows,
 )
+
+from wrlab.wr_gibbs import MarkedConfiguration
 
 from helpers import (
     boundary_reachable_points,
@@ -38,6 +41,34 @@ def test_configuration_rejects_duplicates_and_nonfinite():
     with pytest.raises(ValueError):
         Configuration(np.array([[np.nan, 0.0]]))
     assert len(Configuration.empty(2)) == 0
+
+
+# few distinct values, signed zeros among them, so that ties are common
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+TIE_ROWS = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(TIE_VALUES, min_size=d, max_size=d), max_size=7).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, d)
+    )
+)
+
+
+@hypothesis_settings(max_examples=400, deadline=None)
+@given(pts=TIE_ROWS)
+@example(pts=np.zeros((0, 2)))
+@example(pts=np.array([[0.5, 1.0]]))
+@example(pts=np.array([[0.0, 0.5], [-0.0, 0.5]]))
+@example(pts=np.array([[0.5, 0.0], [0.5, 1.0]]))
+@example(pts=np.array([[0.0, 1.0], [0.5, 1.0], [1.0, 1.0]]))
+@example(pts=np.array([[1.0, 0.5], [0.0, 0.5], [1.0, -0.0], [1.0, 0.5]]))
+def test_duplicate_check_matches_unique_rows(pts):
+    expected = len(pts) > 1 and len(np.unique(pts, axis=0)) != len(pts)
+    assert has_duplicate_rows(pts) == expected
+    for build in (Configuration, lambda p: MarkedConfiguration(p, np.ones(len(p), dtype=np.int8))):
+        if expected:
+            with pytest.raises(ValueError, match="duplicate"):
+                build(pts)
+        else:
+            build(pts)
 
 
 def test_connectivity_params_require_positive_radius():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy import stats as sps
 
-from wrlab.geometry import GridIndex, Window
+from wrlab import wr_gibbs
+from wrlab.geometry import Configuration, GridIndex, Window
 from wrlab.intensity import HomogeneousLebesgue, RandomSetIndicator, realize_environment
 from wrlab.rng import as_generator, spawn
 from wrlab.stats import total_variation
@@ -21,6 +22,7 @@ from wrlab.wr_gibbs import (
     WRParams,
     _WrChain,
     birth_death_log_ratio,
+    block_gibbs_counts,
     dlr_consistency_check,
     estimate_order_parameter,
     is_viable,
@@ -34,6 +36,7 @@ from helpers import (
     acceptance_all_plus,
     acceptance_monochrome,
     count_law_all_plus,
+    count_law_monochrome,
 )
 
 UNIT = Window.cube(1.0, 2)
@@ -342,6 +345,101 @@ def test_bookkeeping_matches_recount_after_every_move(sites, env_seed, z, seed, 
         assert_recount()
 
 
+# -- block Gibbs sampler ---------------------------------------------------------
+
+
+def block_count_tv(params, settings, seed):
+    """TV distance of the free-boundary total-count law from its closed form
+    (radius above the diameter, so viable means monochrome)."""
+    counts = block_gibbs_counts(params, FREE, settings, seed, UNIT).sum(axis=1)
+    law = count_law_monochrome(params.z, 12)
+    empirical = np.bincount(counts, minlength=13)[:13] / len(counts)
+    return 0.5 * np.abs(empirical - law / law.sum()).sum()
+
+
+def test_block_sampler_count_law_matches_closed_form(monkeypatch):
+    params = unit_params(z=1.0, a=2.0)
+    settings = MCMCSettings(sweeps=10100, burn_in=100, thinning=1)
+    assert block_count_tv(params, settings, seed=41) <= 0.05
+
+    # negative control: the minus half-step drawn at activity 1.5 z
+    honest = wr_gibbs._redraw
+
+    def corrupted(params, color, other, wired, rng):
+        if color == MINUS:
+            params = WRParams(params.a, 1.5 * params.z, params.env, params.window)
+        return honest(params, color, other, wired, rng)
+
+    monkeypatch.setattr(wr_gibbs, "_redraw", corrupted)
+    assert block_count_tv(params, settings, seed=41) > 0.05
+
+
+@pytest.mark.parametrize("wired", [PLUS, None])
+def test_block_half_step_excludes_at_exactly_two_radii(monkeypatch, wired):
+    # a = 0.5 in [0, 6]^2: each pair of candidates below sits at exactly 2a
+    # from the plus point (3, 3) or from a face, and one float step farther
+    a, win = 0.5, Window.cube(6.0, 2)
+    env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
+    params = WRParams(a=a, z=1.0, env=env, window=win)
+    up = lambda v: np.nextafter(v, np.inf)
+    down = lambda v: np.nextafter(v, -np.inf)
+    point_pairs = [
+        ((4.0, 3.0), (up(4.0), 3.0)),
+        ((3.0, 2.0), (3.0, down(2.0))),
+        ((1.0, 4.5), (up(1.0), 4.5)),
+        ((5.0, 1.5), (down(5.0), 1.5)),
+    ]
+    face = [False, False, True, True]
+    cand = np.array([p for pair in point_pairs for p in pair])
+    monkeypatch.setattr(wr_gibbs, "sample_poisson", lambda *args: Configuration(cand))
+    plus = np.array([[3.0, 3.0]])
+    kept = wr_gibbs._redraw(params, MINUS, plus, wired, np.random.default_rng(0))
+    expected = [beyond for _, beyond in point_pairs]
+    if wired is None:
+        # a free boundary excludes nothing near the faces
+        expected += [at for (at, _), on_face in zip(point_pairs, face) if on_face]
+    assert sorted(map(tuple, kept.tolist())) == sorted(expected)
+    # the rule is is_viable's, candidate by candidate
+    boundary = FREE if wired is None else PLUS_WIRED
+    for x in cand:
+        state = marked([plus[0], x], [PLUS, MINUS])
+        assert is_viable(state, a, boundary, win) == any((kept == x).all(axis=1))
+
+
+@pytest.mark.parametrize("boundary", [FREE, PLUS_WIRED, MINUS_WIRED])
+def test_block_sampler_keeps_viability(boundary):
+    win = Window.cube(4.0, 2)
+    env = realize_environment(RandomSetIndicator(1.2, 0.8, 0.5, 0.5), win, seed=3)
+    params = WRParams(a=0.5, z=1.5, env=env, window=win)
+    delta = Window(np.array([1.0, 1.0]), np.array([3.0, 3.0]))
+    settings = MCMCSettings(sweeps=200, burn_in=20, thinning=3, debug_checks=True)
+    counts = block_gibbs_counts(params, boundary, settings, 5, delta)
+    assert counts.shape == (settings.retained, 2)
+    wired = wired_color(boundary)
+    if wired is not None:
+        # the wired colour leads in the centre box
+        gap = counts[:, 0] - counts[:, 1]
+        assert wired * gap.mean() > 0
+
+
+def test_block_sampler_agrees_with_single_site_chain():
+    # the single-site chain is the block sampler's independent oracle
+    win = Window.cube(3.0, 2)
+    env = realize_environment(RandomSetIndicator(1.2, 0.8, 0.5, 0.5), win, seed=4)
+    params = WRParams(a=0.5, z=1.0, env=env, window=win)
+    delta = Window(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+    settings = MCMCSettings(sweeps=3200, burn_in=200, thinning=2)
+    block = estimate_order_parameter(params, delta, settings, replicates=2, seed=51)
+    records, _, _ = run_wr_chain(
+        params, PLUS_WIRED, settings, seed=52,
+        record=lambda ch: ch.order_parameter_value(), count_box=delta,
+    )
+    from wrlab.stats import batch_means
+
+    single, _ = batch_means(records, settings.batch_count)
+    assert abs(block.value - single.value) <= 3.0 * math.hypot(block.stderr, single.stderr)
+
+
 # -- conditional-resampling consistency -------------------------------------------
 
 
@@ -394,16 +492,21 @@ def test_trace_export_jsonl(tmp_path):
     assert lines[1]["points"][1] == [0.8, 0.9, "minus"]
 
 
-def test_strict_diagnostics_raise_on_sticky_chain():
+def test_strict_diagnostics_raise_on_sticky_chain(monkeypatch):
     from wrlab.wr_gibbs import ChainDiagnosticsError
 
     win = Window.cube(3.0, 2)
     env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
     params = WRParams(a=0.5, z=2.0, env=env, window=win)
-    # one move per sweep on a ~15-point state: batches are heavily correlated
-    settings = MCMCSettings(sweeps=900, burn_in=100, thinning=1, moves_per_sweep=1)
-    with pytest.raises(ChainDiagnosticsError):
-        estimate_order_parameter(params, win, settings, seed=1, strict=True)
+    settings = MCMCSettings(sweeps=900, burn_in=100, thinning=1)
+    # a sticky chain's batch series: lag-1 autocorrelation above 0.5
+    honest = wr_gibbs.batch_means
+    monkeypatch.setattr(wr_gibbs, "batch_means", lambda series, k: (honest(series, k)[0], 0.9))
+    for mode in ("single", "two-chain"):
+        with pytest.raises(ChainDiagnosticsError):
+            estimate_order_parameter(params, win, settings, seed=1, mode=mode, strict=True)
+        with pytest.warns(RuntimeWarning, match="autocorrelation"):
+            estimate_order_parameter(params, win, settings, seed=1, mode=mode)
 
 
 def test_marked_configuration_validation():
