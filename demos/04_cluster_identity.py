@@ -11,7 +11,7 @@ import numpy as np
 from wrlab import (
     HomogeneousLebesgue,
     MCMCSettings,
-    RCParams,
+    WRParams,
     Window,
     check_es_identity,
     realize_environment,
@@ -21,7 +21,7 @@ from wrlab import (
 
 window = Window.cube(4.0, 2)
 env = realize_environment(HomogeneousLebesgue(1.0), window, seed=0)
-params = RCParams(a=0.5, z=1.0, env=env, window=window)
+params = WRParams(a=0.5, z=1.0, env=env, window=window)
 settings = MCMCSettings(sweeps=4400, burn_in=400, thinning=2)
 
 # two routes to the same unmarked law

@@ -14,7 +14,7 @@ from wrlab import (
     HomogeneousLebesgue,
     IncreasingStatistic,
     MCMCSettings,
-    RCParams,
+    WRParams,
     Window,
     check_domination,
     estimate_merge_bound,
@@ -35,7 +35,7 @@ print(f"thinning factor tau = 2^-{k} = {dom.tau:.5f}")
 
 window = Window.cube(6.0, 2)
 env = realize_environment(HomogeneousLebesgue(1.0), window, seed=0)
-params = RCParams(a, 1.5, env, window)
+params = WRParams(a, 1.5, env, window)
 battery = [
     IncreasingStatistic("total_count", lambda c: float(len(c))),
     IncreasingStatistic(

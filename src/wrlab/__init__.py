@@ -8,8 +8,8 @@ The package is organized around six parts:
 * :mod:`wrlab.intensity` -- deterministic and random environments,
   Poisson sampling, covariance probes;
 * :mod:`wrlab.wr_gibbs` -- the two-colored measures: viability, exact
-  rejection sampling, the birth-death-recolor chain, order parameter,
-  conditional-resampling consistency check;
+  rejection sampling, the block Gibbs sampler behind the order parameter,
+  the birth-death-recolor chain, conditional-resampling consistency check;
 * :mod:`wrlab.random_cluster` -- the component-weighted unmarked model,
   color-dropping coupling, conditional-intensity ratios, merge bounds,
   and the stochastic-domination suite;
@@ -63,12 +63,10 @@ from .wr_gibbs import (
     is_viable,
     run_wr_chain,
     sample_wr_rejection,
-    step_wr_mcmc,
 )
 from .random_cluster import (
     DominationConfig,
     IncreasingStatistic,
-    RCParams,
     check_domination,
     check_es_identity,
     estimate_merge_bound,
@@ -78,7 +76,6 @@ from .random_cluster import (
     rc_component_exponent,
     run_rc_chain,
     sample_rc_by_color_dropping,
-    step_rc_mcmc,
 )
 from .percolation import (
     estimate_critical_intensity,

@@ -58,13 +58,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_int(name):
+    text = os.environ.get(name)
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _apply_overrides(cfg, seed, workers):
-    env_seed = os.environ.get("WRLAB_SEED")
-    env_workers = os.environ.get("WRLAB_WORKERS")
-    if seed is None and env_seed is not None:
-        seed = int(env_seed)
-    if workers is None and env_workers is not None:
-        workers = int(env_workers)
+    if seed is None:
+        seed = _env_int("WRLAB_SEED")
+    if workers is None:
+        workers = _env_int("WRLAB_WORKERS")
     if seed is not None:
         cfg.seed = int(seed)
         cfg.raw["seed"] = int(seed)

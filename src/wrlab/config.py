@@ -4,20 +4,24 @@ A config fully determines a campaign together with the master seed; there is
 no wall-clock seeding anywhere.  Sections mirror the run structure::
 
     [experiment]        kind, seed, output, workers
-    [environment]       model + named parameters, optional guard_margin
+    [environment]       model + the model's parameters, optional guard_margin
     [geometry]          dim, a, window or window_size, delta or delta_size
-    [schedule]          z_grid, replicates, L_list, runs, tau, merge_bound
-    [mcmc]              sweeps, burn_in, thinning, move_mix, batch_count
+    [schedule]          z_grid, L_list, replicates, replicate_offset,
+                        both_axes, runs, tau, merge_bound
+    [mcmc]              sweeps, burn_in, thinning, batch_count, moves_per_sweep
 
-Only named environment models are expressible in a file; arbitrary density
-handles exist at the library level only.
+A section holds only these keys, and ``[environment]`` only the parameters
+of its model; any other section or key is a :class:`ConfigError`, so a
+misspelt key cannot silently fall back to its default.  Only named
+environment models are expressible in a file; arbitrary density handles
+exist at the library level only.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,7 +47,29 @@ EXPERIMENT_KINDS = (
     "env-validate",
 )
 
-ENVIRONMENT_MODELS = ("lebesgue", "shot-noise", "random-set", "voronoi", "manhattan")
+# each model reads its dataclass fields from [environment]
+_MODELS = {
+    "lebesgue": HomogeneousLebesgue,
+    "shot-noise": ShotNoise,
+    "random-set": RandomSetIndicator,
+    "voronoi": VoronoiEdges,
+    "manhattan": ManhattanGrid,
+}
+_MODEL_DEFAULTS = {"z0": 1.0}
+ENVIRONMENT_MODELS = tuple(_MODELS)
+
+_SECTION_KEYS = {
+    "experiment": ("kind", "seed", "output", "workers"),
+    "environment": ("model", "guard_margin"),
+    "geometry": ("dim", "a", "window", "window_size", "delta", "delta_size"),
+    "schedule": (
+        "z_grid", "L_list", "replicates", "replicate_offset", "both_axes", "runs", "tau", "merge_bound"
+    ),
+    "mcmc": ("sweeps", "burn_in", "thinning", "batch_count", "moves_per_sweep"),
+}
+
+# kinds that run at the first activity of z_grid only
+_SINGLE_ACTIVITY_KINDS = ("dlr-check", "env-validate")
 
 
 class ConfigError(ValueError):
@@ -95,38 +121,29 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _check_keys(name: str, section, allowed) -> None:
+    unknown = sorted(set(section) - {key.lower() for key in allowed})
+    if unknown:
+        raise ConfigError(
+            f"unknown key {', '.join(unknown)} in [{name}]; it reads {', '.join(allowed)}"
+        )
+
+
 def _parse_model(section) -> tuple[IntensityModel, str]:
     name = section.get("model", "").strip().lower()
-    if name not in ENVIRONMENT_MODELS:
+    if name not in _MODELS:
         raise ConfigError(
             f"environment model must be one of {ENVIRONMENT_MODELS}, got {name!r}"
         )
+    keys = [f.name for f in fields(_MODELS[name])]
+    _check_keys("environment", section, (*_SECTION_KEYS["environment"], *keys))
+    missing = [key for key in keys if key not in section and key not in _MODEL_DEFAULTS]
+    if missing:
+        raise ConfigError(f"model {name!r} needs {', '.join(missing)}")
     try:
-        if name == "lebesgue":
-            return HomogeneousLebesgue(section.getfloat("z0", 1.0)), name
-        if name == "shot-noise":
-            return (
-                ShotNoise(
-                    pp_intensity=section.getfloat("pp_intensity"),
-                    kernel_radius=section.getfloat("kernel_radius"),
-                    kernel_amplitude=section.getfloat("kernel_amplitude"),
-                ),
-                name,
-            )
-        if name == "random-set":
-            return (
-                RandomSetIndicator(
-                    lambda_inside=section.getfloat("lambda_inside"),
-                    lambda_outside=section.getfloat("lambda_outside"),
-                    germ_intensity=section.getfloat("germ_intensity"),
-                    grain_radius=section.getfloat("grain_radius"),
-                ),
-                name,
-            )
-        if name == "voronoi":
-            return VoronoiEdges(seed_intensity=section.getfloat("seed_intensity")), name
-        return ManhattanGrid(line_intensity=section.getfloat("line_intensity")), name
-    except (TypeError, ValueError) as exc:
+        params = {key: section.getfloat(key, _MODEL_DEFAULTS.get(key)) for key in keys}
+        return _MODELS[name](**params), name
+    except ValueError as exc:
         raise ConfigError(f"bad parameters for model {name!r}: {exc}") from exc
 
 
@@ -153,15 +170,8 @@ def config_from_resolved(raw: dict) -> ExperimentConfig:
     This is the manifest-completeness contract: every number in a result
     file is reproducible from the manifest alone (plus the code version).
     """
-    models = {
-        "lebesgue": lambda p: HomogeneousLebesgue(**p),
-        "shot-noise": lambda p: ShotNoise(**p),
-        "random-set": lambda p: RandomSetIndicator(**p),
-        "voronoi": lambda p: VoronoiEdges(**p),
-        "manhattan": lambda p: ManhattanGrid(**p),
-    }
     try:
-        model = models[raw["model"]](raw["model_params"])
+        model = _MODELS[raw["model"]](**raw["model_params"])
         dim = raw["dim"]
 
         def window_of(vals):
@@ -174,10 +184,8 @@ def config_from_resolved(raw: dict) -> ExperimentConfig:
             sweeps=mcmc["sweeps"],
             burn_in=mcmc["burn_in"],
             thinning=mcmc["thinning"],
-            move_mix=tuple(mcmc["move_mix"]),
             batch_count=mcmc["batch_count"],
             moves_per_sweep=mcmc["moves_per_sweep"],
-            recolor_cluster_cap=mcmc["recolor_cluster_cap"],
         )
         return ExperimentConfig(
             kind=raw["kind"],
@@ -213,11 +221,18 @@ def load_config(path) -> ExperimentConfig:
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         return parse_config(parser)
-    except (configparser.Error, KeyError) as exc:
+    except ConfigError:
+        raise
+    except (configparser.Error, KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]; sections are {', '.join(_SECTION_KEYS)}")
+        if name != "environment":
+            _check_keys(name, parser[name], _SECTION_KEYS[name])
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     exp = parser["experiment"]
@@ -255,10 +270,7 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
 
     sched = parser["schedule"] if "schedule" in parser else {}
 
-    def sched_get(key, default=None):
-        return sched.get(key, default) if hasattr(sched, "get") else default
-
-    L_text = sched_get("L_list")
+    L_text = sched.get("L_list")
     L_list = _floats(L_text) if L_text else []
     if kind == "percolation-scan" and not L_list:
         raise ConfigError("percolation-scan needs L_list in [schedule]")
@@ -297,7 +309,7 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             "domination-check needs dim = 2: its statistic battery and merge bound are planar"
         )
 
-    z_text = sched_get("z_grid", "1.0")
+    z_text = sched.get("z_grid", "1.0")
     z_grid = _floats(z_text)
     if not z_grid:
         raise ConfigError("z_grid must not be empty")
@@ -305,36 +317,29 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("z values must be >= 0")
     if any(z2 <= z1 for z1, z2 in zip(z_grid, z_grid[1:])):
         raise ConfigError("z_grid must be strictly increasing")
-    replicates = int(sched_get("replicates", "4"))
+    if kind in _SINGLE_ACTIVITY_KINDS and len(z_grid) > 1:
+        raise ConfigError(f"{kind} runs at one activity; z_grid must hold one value, not {len(z_grid)}")
+    replicates = int(sched.get("replicates", "4"))
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    replicate_offset = int(sched_get("replicate_offset", "0"))
+    replicate_offset = int(sched.get("replicate_offset", "0"))
     if replicate_offset < 0:
         raise ConfigError("replicate_offset must be >= 0")
-    both_axes = str(sched_get("both_axes", "false")).strip().lower() in ("1", "true", "yes")
-    runs = int(sched_get("runs", "20"))
-    tau_text = sched_get("tau")
+    both_axes = str(sched.get("both_axes", "false")).strip().lower() in ("1", "true", "yes")
+    runs = int(sched.get("runs", "20"))
+    tau_text = sched.get("tau")
     tau = float(tau_text) if tau_text else None
-    mb_text = sched_get("merge_bound")
+    mb_text = sched.get("merge_bound")
     merge_bound = int(mb_text) if mb_text else None
 
     mcmc = parser["mcmc"] if "mcmc" in parser else {}
-
-    def mcmc_get(key, default):
-        return mcmc.get(key, default) if hasattr(mcmc, "get") else default
-
-    mix = _floats(mcmc_get("move_mix", "0.4 0.4 0.2"))
-    if len(mix) != 3:
-        raise ConfigError("move_mix needs three probabilities")
     try:
         settings = MCMCSettings(
-            sweeps=int(mcmc_get("sweeps", "2000")),
-            burn_in=int(mcmc_get("burn_in", "500")),
-            thinning=int(mcmc_get("thinning", "2")),
-            move_mix=tuple(mix),
-            batch_count=int(mcmc_get("batch_count", "16")),
-            moves_per_sweep=int(mcmc_get("moves_per_sweep", "0")) or None,
-            recolor_cluster_cap=int(mcmc_get("recolor_cluster_cap", "128")),
+            sweeps=int(mcmc.get("sweeps", "2000")),
+            burn_in=int(mcmc.get("burn_in", "500")),
+            thinning=int(mcmc.get("thinning", "2")),
+            batch_count=int(mcmc.get("batch_count", "16")),
+            moves_per_sweep=int(mcmc.get("moves_per_sweep", "0")) or None,
         )
     except ValueError as exc:
         raise ConfigError(f"bad mcmc section: {exc}") from exc
@@ -365,10 +370,8 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             "sweeps": settings.sweeps,
             "burn_in": settings.burn_in,
             "thinning": settings.thinning,
-            "move_mix": list(settings.move_mix),
             "batch_count": settings.batch_count,
             "moves_per_sweep": settings.moves_per_sweep,
-            "recolor_cluster_cap": settings.recolor_cluster_cap,
         },
     }
     return config_from_resolved(raw)

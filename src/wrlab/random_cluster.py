@@ -5,10 +5,11 @@ counts the connected components of the Boolean model with the window boundary
 wired in as a ghost component.  It is sampled two independent ways: a direct
 birth-death chain on the weighted density (this module) and color-dropping
 from the plus-wired two-colored chain; the two samplers cross-validate each
-other.  The conditional-intensity ratio ``2**dC / tau`` drives the stochastic
-domination check: with ``tau <= 2**(-K)`` for a merge bound ``K`` the ratio
-never drops below 1, so the thinned Poisson process is dominated in every
-increasing statistic.
+other.  Both take the two-colored measure's :class:`~wrlab.wr_gibbs.WRParams`
+(ball radius, activity, environment, window).  The conditional-intensity
+ratio ``2**dC / tau`` drives the stochastic domination check: with
+``tau <= 2**(-K)`` for a merge bound ``K`` the ratio never drops below 1, so
+the thinned Poisson process is dominated in every increasing statistic.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .geometry import (
     Window,
     build_components,
 )
-from .intensity import EnvironmentRealization, sample_poisson
+from .intensity import sample_poisson
 from .rng import as_generator, spawn
 from .stats import EstimateWithError, batch_means, combined_sigma, pool_independent, summarize_replicates
 from .wr_gibbs import (
@@ -33,31 +34,13 @@ from .wr_gibbs import (
     PLUS_WIRED,
     WRParams,
     _BirthDeathChain,
-    _single_move,
     estimate_order_parameter,
     run_wr_chain,
 )
 
-
-@dataclass(frozen=True)
-class RCParams:
-    """Ball radius, activity, frozen environment, and simulation window."""
-
-    a: float
-    z: float
-    env: EnvironmentRealization
-    window: Window
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("a must be positive")
-        if self.z < 0:
-            raise ValueError("z must be >= 0")
-        if not self.env.guard_window.contains_window(self.window):
-            raise ValueError("window must lie inside the environment's valid window")
-
-    def as_wr(self) -> WRParams:
-        return WRParams(self.a, self.z, self.env, self.window)
+# the weighted chain's move mix: a uniform below this proposes a birth,
+# otherwise a death
+_BIRTH_BELOW = 0.5
 
 
 @dataclass(frozen=True)
@@ -114,21 +97,17 @@ class _RcChain(_BirthDeathChain):
     points (dead internal nodes are harmless) and is rebuilt from scratch
     when they accumulate.  Deaths that might split a component trigger a
     local regrouping of the affected cluster before the acceptance decision.
+    Births and deaths are proposed with probability 1/2 each, so the
+    acceptance ratios carry no proposal factor.
     """
 
     def __init__(
         self,
-        params: RCParams,
+        params: WRParams,
         settings: MCMCSettings,
         rng: np.random.Generator,
     ):
         super().__init__(params, settings, rng, color_doubled=False)
-        mix = settings.move_mix
-        # the recolor slot is dead weight here; fold it into (birth, death)
-        pb = mix[0] + mix[2] / 2.0
-        pd = mix[1] + mix[2] / 2.0
-        self.c_birth = pb
-        self.pd_over_pb = pd / pb if pb > 0 else 1.0
         self.pos: dict[int, tuple] = {}
         self.active: list[int] = []
         self.slot: dict[int, int] = {}
@@ -310,7 +289,7 @@ class _RcChain(_BirthDeathChain):
         x_touches = self._boundary_near(pos)
         delta_c = _wired_merge_delta(len(roots), touching, x_touches)
         n = self.n
-        ratio = self.total / (n + 1) * (2.0**delta_c) * self.pd_over_pb
+        ratio = self.total / (n + 1) * (2.0**delta_c)
         tval = 1.0
         if self.thin is not None:
             tval = self.thin(pos)
@@ -344,7 +323,7 @@ class _RcChain(_BirthDeathChain):
                 1 for part in parts if any(self.bnear[m] for m in part)
             )
             delta_c = (len(parts) - 1) - (new_touching - old_flag)
-        ratio = n / self.total * (2.0**delta_c) / self.pd_over_pb
+        ratio = n / self.total * (2.0**delta_c)
         if self.thin is not None:
             ratio /= self.tvals[i]
         if ratio < 1.0 and ub.next() >= ratio:
@@ -370,7 +349,7 @@ class _RcChain(_BirthDeathChain):
             self.rebuild()
 
     def step(self) -> None:
-        if self.ub.next() < self.c_birth:
+        if self.ub.next() < _BIRTH_BELOW:
             self._birth()
         else:
             self._death()
@@ -419,7 +398,7 @@ class _RcChain(_BirthDeathChain):
 
 
 def run_rc_chain(
-    params: RCParams,
+    params: WRParams,
     settings: MCMCSettings,
     seed=0,
     record=None,
@@ -436,16 +415,8 @@ def run_rc_chain(
     return records, chain.to_configuration(), info
 
 
-def step_rc_mcmc(
-    state: Configuration, params: RCParams, settings: MCMCSettings, seed=0
-) -> Configuration:
-    """One elementary birth/death transition of the weighted chain."""
-    _, final, _ = run_rc_chain(params, _single_move(settings), seed, init=state)
-    return final
-
-
 def sample_rc_by_color_dropping(
-    params: RCParams, settings: MCMCSettings, seed=0
+    params: WRParams, settings: MCMCSettings, seed=0
 ) -> list[Configuration]:
     """Positions of the plus-wired two-colored chain, colors dropped.
 
@@ -453,7 +424,7 @@ def sample_rc_by_color_dropping(
     weighted model, so this trace and the direct chain are mutual oracles.
     """
     records, _, _ = run_wr_chain(
-        params.as_wr(),
+        params,
         PLUS_WIRED,
         settings,
         seed,
@@ -618,7 +589,7 @@ def estimate_merge_bound(d: int, a: float, probes: int = 100000, seed=0) -> int:
 
 
 def boundary_connected_chain(
-    params: RCParams, delta: Window, settings: MCMCSettings, seed
+    params: WRParams, delta: Window, settings: MCMCSettings, seed
 ) -> tuple[EstimateWithError, float]:
     """One weighted chain: batch means of the boundary-connected count in
     ``delta``; returns the estimate and its batch lag-1 autocorrelation."""
@@ -643,7 +614,7 @@ def _evaluate(stats: list[IncreasingStatistic], confs) -> dict[str, list[float]]
 
 
 def thinned_poisson_values(
-    params: RCParams, tau: float, stats: list[IncreasingStatistic], draws: int, seed
+    params: WRParams, tau: float, stats: list[IncreasingStatistic], draws: int, seed
 ) -> dict[str, list[float]]:
     """Each statistic on ``draws`` independent Poisson draws at activity
     ``tau * z`` (one generator for all draws)."""
@@ -653,7 +624,7 @@ def thinned_poisson_values(
 
 
 def statistic_chain(
-    params: RCParams, stats: list[IncreasingStatistic], settings: MCMCSettings, seed
+    params: WRParams, stats: list[IncreasingStatistic], settings: MCMCSettings, seed
 ) -> dict[str, EstimateWithError]:
     """One weighted chain: the batch-means estimate of each statistic over
     the retained configurations."""
@@ -665,7 +636,7 @@ def statistic_chain(
 
 
 def check_es_identity(
-    params: RCParams,
+    params: WRParams,
     delta: Window,
     settings: MCMCSettings,
     replicates: int = 2,
@@ -681,7 +652,7 @@ def check_es_identity(
         raise ValueError("delta must lie inside the window")
     wr_seed, rc_seed = spawn(seed, 2)
     psi = estimate_order_parameter(
-        params.as_wr(), delta, settings, replicates, wr_seed, mode="single"
+        params, delta, settings, replicates, wr_seed, mode="single"
     )
     nb = pool_independent(
         [
@@ -703,7 +674,7 @@ def check_es_identity(
 
 
 def check_domination(
-    params: RCParams,
+    params: WRParams,
     dom: DominationConfig,
     stats: list[IncreasingStatistic],
     settings: MCMCSettings,

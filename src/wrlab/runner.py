@@ -37,7 +37,6 @@ from .intensity import (
 from .percolation import estimate_crossing_probability, scan_rows, threshold_from_rows
 from .random_cluster import (
     DominationConfig,
-    RCParams,
     boundary_connected_chain,
     merge_bound_cap,
     statistic_chain,
@@ -166,9 +165,9 @@ def _rep_rc_check(cfg: ExperimentConfig, index: int) -> dict:
                 {"z": z, "psi": 0.0, "psi_se": 0.0, "psi_lag1": 0.0, "nb": 0.0, "nb_se": 0.0, "nb_lag1": 0.0}
             )
             continue
-        rc_params = RCParams(cfg.a, z, env, cfg.window)
-        psi, psi_lag1 = order_parameter_chain(rc_params.as_wr(), cfg.delta, cfg.settings, children[2 * i])
-        nb, nb_lag1 = boundary_connected_chain(rc_params, cfg.delta, cfg.settings, children[2 * i + 1])
+        params = WRParams(cfg.a, z, env, cfg.window)
+        psi, psi_lag1 = order_parameter_chain(params, cfg.delta, cfg.settings, children[2 * i])
+        nb, nb_lag1 = boundary_connected_chain(params, cfg.delta, cfg.settings, children[2 * i + 1])
         cells.append(
             {
                 "z": z,
@@ -238,7 +237,7 @@ def _rep_domination_check(cfg: ExperimentConfig, index: int) -> dict:
     cells = []
     children = seed.spawn(2 * len(cfg.z_grid))
     for i, z in enumerate(cfg.z_grid):
-        params = RCParams(cfg.a, z, env, cfg.window)
+        params = WRParams(cfg.a, z, env, cfg.window)
         poisson_values = thinned_poisson_values(params, tau, stats, draws, children[2 * i])
         rc_means = statistic_chain(params, stats, cfg.settings, children[2 * i + 1])
         cell = {"z": z, "draws": draws, "stats": {}}

@@ -5,8 +5,9 @@ A marked configuration is viable when opposite-colored points are more than
 of the window boundary.  Three exact-in-law samplers are provided: plain
 rejection (small mass only), an alternating-colour block Gibbs sampler that
 feeds the order-parameter estimate, and a single-site birth-death-recolor
-Metropolis chain.  The single-site chain is the block sampler's independent
-oracle and runs the consistency check against the defining
+Metropolis chain (:func:`run_wr_chain`).  The single-site chain is the block
+sampler's independent oracle, gives more effective samples per second on
+tiny windows, and runs the consistency check against the defining
 conditional-resampling property.
 """
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -32,6 +33,16 @@ FREE = "free"
 PLUS_WIRED = "plus-wired"
 MINUS_WIRED = "minus-wired"
 BOUNDARIES = (FREE, PLUS_WIRED, MINUS_WIRED)
+
+# the single-site chain's move mix: a uniform below 0.4 proposes a birth,
+# below 0.8 a death, and otherwise a recolor; births and deaths are equally
+# likely, so their acceptance ratios carry no proposal factor
+_BIRTH_BELOW = 0.4
+_DEATH_BELOW = 0.8
+# the recolor move leaves same-color clusters larger than this alone, which
+# keeps it O(cap) without touching the stationary law (the proposal stays
+# self-inverse)
+_RECOLOR_CLUSTER_CAP = 128
 
 
 def wired_color(boundary: str) -> int | None:
@@ -129,28 +140,19 @@ class MCMCSettings:
     depends on the sampler.  In the block Gibbs sampler
     (:func:`block_gibbs_counts`) a sweep redraws both colours once.  In the
     single-site chains (:func:`run_wr_chain` and the weighted chain) a sweep
-    is ``moves_per_sweep`` elementary moves (by default one per unit of
-    expected mass) drawn by ``move_mix``, and ``recolor_cluster_cap`` bounds
-    the cluster size the recolor move will flip; larger same-color clusters
-    are left alone, which keeps the move O(cap) without touching the
-    stationary law (the proposal stays self-inverse).  These three settings
-    have no effect on the block sampler.
+    is ``moves_per_sweep`` elementary moves, by default one per unit of
+    expected mass; the block sampler ignores that setting.
+    ``debug_checks`` checks the chain's state at every retained sweep.
     """
 
     sweeps: int = 2000
     burn_in: int = 500
     thinning: int = 2
-    move_mix: tuple[float, float, float] = (0.4, 0.4, 0.2)
     batch_count: int = 16
     moves_per_sweep: int | None = None
-    recolor_cluster_cap: int = 128
     debug_checks: bool = False
 
     def __post_init__(self):
-        if abs(sum(self.move_mix) - 1.0) > 1e-9:
-            raise ValueError("move_mix must sum to 1")
-        if any(p < 0 for p in self.move_mix):
-            raise ValueError("move_mix entries must be >= 0")
         if not (self.sweeps > self.burn_in >= 0):
             raise ValueError("need sweeps > burn_in >= 0")
         if self.thinning < 1:
@@ -240,7 +242,7 @@ class _BirthDeathChain:
 
     def __init__(
         self,
-        params,
+        params: WRParams,
         settings: MCMCSettings,
         rng: np.random.Generator,
         color_doubled: bool,
@@ -310,13 +312,9 @@ class _BirthDeathChain:
         return records, info
 
 
-def _single_move(settings: MCMCSettings) -> MCMCSettings:
-    """The schedule of one elementary move whose end state is recorded."""
-    return replace(settings, sweeps=1, burn_in=0, thinning=1, moves_per_sweep=1)
-
-
 class _WrChain(_BirthDeathChain):
-    """Mutable chain state: positions, colors, grid index, and box counters."""
+    """Mutable chain state: positions, colors, boundary flags, densities and
+    the grid index."""
 
     def __init__(
         self,
@@ -324,45 +322,18 @@ class _WrChain(_BirthDeathChain):
         boundary: str,
         settings: MCMCSettings,
         rng: np.random.Generator,
-        audit_birth_factor: float = 1.0,
     ):
         super().__init__(params, settings, rng, color_doubled=True)
         self.a = params.a
         self.wired = wired_color(boundary)
-        mix = settings.move_mix
-        self.c_birth = mix[0]
-        self.c_death = mix[0] + mix[1]
-        # detailed balance needs the proposal-probability ratio when the mix
-        # is asymmetric; it is 1 for the default mix
-        self.pd_over_pb = mix[1] / mix[0] if mix[0] > 0 else 1.0
-        # audit knob: scales the birth jump rate (and the death rate down),
-        # so a factor f makes the chain target activity f * z exactly; the
-        # consistency check uses it as its corrupted-kernel negative control
-        self.audit = audit_birth_factor
         self.xs: list[tuple] = []
         self.cols: list[int] = []
         self.bnear: list[bool] = []
         self.tvals: list[float] = []
-        self.box = None
-        self.box_counts = [0, 0]  # plus, minus inside the registered box
         self.accepted = {"birth": 0, "death": 0, "recolor": 0}
         self.proposed = {"birth": 0, "death": 0, "recolor": 0}
 
     # -- bookkeeping ------------------------------------------------------
-
-    def register_count_box(self, delta: Window) -> None:
-        self.box = (delta.lower.tolist(), delta.upper.tolist())
-        self.box_counts = [0, 0]
-        for pos, c in zip(self.xs, self.cols):
-            if self._in_box(pos):
-                self.box_counts[0 if c == PLUS else 1] += 1
-
-    def _in_box(self, pos) -> bool:
-        blo, bhi = self.box
-        for k in range(self.dim):
-            if not blo[k] <= pos[k] <= bhi[k]:
-                return False
-        return True
 
     def load(self, conf: MarkedConfiguration) -> None:
         for pos, c in zip(conf.positions, conf.colors):
@@ -377,10 +348,6 @@ class _WrChain(_BirthDeathChain):
             self.bnear.append(self._boundary_near(p))
             self.tvals.append(tval)
             self.grid.add(len(self.xs) - 1, p)
-        if self.box is not None:
-            self.register_count_box(
-                Window(np.array(self.box[0]), np.array(self.box[1]))
-            )
 
     def to_marked_configuration(self) -> MarkedConfiguration:
         if not self.xs:
@@ -400,9 +367,6 @@ class _WrChain(_BirthDeathChain):
     @property
     def n(self) -> int:
         return len(self.xs)
-
-    def order_parameter_value(self) -> int:
-        return self.box_counts[0] - self.box_counts[1]
 
     # -- moves -------------------------------------------------------------
 
@@ -440,7 +404,7 @@ class _WrChain(_BirthDeathChain):
                 if cols[j] != color and self._dist2(pos, xs[j]) <= r2:
                     return
         n = len(xs)
-        ratio = self.total / (n + 1) * self.pd_over_pb * self.audit
+        ratio = self.total / (n + 1)
         tval = 1.0
         if self.thin is not None:
             tval = self.thin(pos)
@@ -454,8 +418,6 @@ class _WrChain(_BirthDeathChain):
         self.bnear.append(near)
         self.tvals.append(tval)
         self.grid.add(n, pos)
-        if self.box is not None and self._in_box(pos):
-            self.box_counts[0 if color == PLUS else 1] += 1
         self.accepted["birth"] += 1
 
     def _death(self) -> None:
@@ -465,7 +427,7 @@ class _WrChain(_BirthDeathChain):
             return
         ub = self.ub
         victim = ub.next_index(n)
-        ratio = n / self.total / self.pd_over_pb / self.audit
+        ratio = n / self.total
         if self.thin is not None:
             ratio /= self.tvals[victim]
         if ratio < 1.0 and ub.next() >= ratio:
@@ -475,9 +437,7 @@ class _WrChain(_BirthDeathChain):
 
     def _remove(self, victim: int) -> None:
         xs, cols, bnear, tvals = self.xs, self.cols, self.bnear, self.tvals
-        pos = xs[victim]
-        color = cols[victim]
-        self.grid.remove(victim, pos)
+        self.grid.remove(victim, xs[victim])
         last = len(xs) - 1
         if victim != last:
             self.grid.relabel(last, victim, xs[last])
@@ -489,8 +449,6 @@ class _WrChain(_BirthDeathChain):
         cols.pop()
         bnear.pop()
         tvals.pop()
-        if self.box is not None and self._in_box(pos):
-            self.box_counts[0 if color == PLUS else 1] -= 1
 
     def _recolor(self) -> None:
         """Flip the whole same-color cluster of a uniform point.
@@ -509,7 +467,7 @@ class _WrChain(_BirthDeathChain):
         check_boundary = self.wired is not None and color == self.wired
         if check_boundary and self.bnear[seed_idx]:
             return
-        cap = self.settings.recolor_cluster_cap
+        cap = _RECOLOR_CLUSTER_CAP
         xs, cols, bnear = self.xs, self.cols, self.bnear
         r2 = self.r2
         comp = {seed_idx}
@@ -555,20 +513,15 @@ class _WrChain(_BirthDeathChain):
                         return
                     comp.add(k)
                     stack.append(k)
-        flip = -color
-        in_box = self._in_box if self.box is not None else None
         for j in comp:
-            cols[j] = flip
-            if in_box is not None and in_box(xs[j]):
-                self.box_counts[0 if flip == PLUS else 1] += 1
-                self.box_counts[0 if color == PLUS else 1] -= 1
+            cols[j] = -color
         self.accepted["recolor"] += 1
 
     def step(self) -> None:
         u = self.ub.next()
-        if u < self.c_birth:
+        if u < _BIRTH_BELOW:
             self._birth()
-        elif u < self.c_death:
+        elif u < _DEATH_BELOW:
             self._death()
         else:
             self._recolor()
@@ -591,55 +544,20 @@ def run_wr_chain(
     seed=0,
     record=None,
     init: MarkedConfiguration | None = None,
-    count_box: Window | None = None,
-    audit_birth_factor: float = 1.0,
 ):
     """Run the chain; returns (records, final configuration, info dict).
 
-    ``record(chain)`` is called at every retained sweep.  When ``count_box``
-    is given the chain maintains O(1) plus/minus counters for that box and
-    ``chain.order_parameter_value()`` reads their difference.
+    ``record(chain)`` is called at every retained sweep; the chain starts
+    from ``init`` (a viable state) or empty.
     """
     rng = as_generator(seed)
-    chain = _WrChain(params, boundary, settings, rng, audit_birth_factor)
-    if count_box is not None:
-        if not params.window.contains_window(count_box):
-            raise ValueError("count box must lie inside the window")
-        chain.register_count_box(count_box)
+    chain = _WrChain(params, boundary, settings, rng)
     if init is not None:
         if not is_viable(init, params.a, boundary, params.window):
             raise ValueError("initial state is not viable")
         chain.load(init)
     records, info = chain.run(record)
     return records, chain.to_marked_configuration(), info
-
-
-def step_wr_mcmc(
-    state: MarkedConfiguration,
-    params: WRParams,
-    boundary: str,
-    settings: MCMCSettings,
-    seed=0,
-    audit_birth_factor: float = 1.0,
-) -> MarkedConfiguration:
-    """One elementary transition of the chain from a viable state."""
-    _, final, _ = run_wr_chain(
-        params,
-        boundary,
-        _single_move(settings),
-        seed,
-        init=state,
-        audit_birth_factor=audit_birth_factor,
-    )
-    return final
-
-
-def birth_death_log_ratio(n: int, total_mass: float) -> float:
-    """log of the unnormalized birth ratio total/(n+1); the death ratio from
-    n+1 points is its exact negative.  Exposed for detailed-balance audits."""
-    if total_mass <= 0:
-        return -math.inf
-    return math.log(total_mass) - math.log(n + 1)
 
 
 def _clear_of(cand: np.ndarray, other: np.ndarray, r: float) -> np.ndarray:
@@ -678,7 +596,7 @@ def _redraw(params: WRParams, color: int, other: np.ndarray, wired: int | None, 
 
 
 def block_gibbs_counts(
-    params: WRParams, boundary: str, settings: MCMCSettings, seed, count_box: Window
+    params: WRParams, boundary: str, settings: MCMCSettings, seed, delta: Window
 ) -> np.ndarray:
     """Alternating-colour block Gibbs sampler of the two-coloured measure.
 
@@ -686,10 +604,10 @@ def block_gibbs_counts(
     the other (:func:`_redraw`; Häggström, van Lieshout & Møller, Bernoulli 5
     (1999) 641-658).  The chain starts empty and redraws the wired colour
     first, plus under a free boundary.  Returns the (plus, minus) counts in
-    ``count_box`` at every retained sweep, one row each.
+    ``delta`` at every retained sweep, one row each.
     """
-    if not params.window.contains_window(count_box):
-        raise ValueError("count box must lie inside the window")
+    if not params.window.contains_window(delta):
+        raise ValueError("delta must lie inside the window")
     rng = as_generator(seed)
     wired = wired_color(boundary)
     first = MINUS if wired == MINUS else PLUS
@@ -707,7 +625,7 @@ def block_gibbs_counts(
                 if not is_viable(state, params.a, boundary, params.window):
                     raise AssertionError("block sampler state lost viability")
             counts.append(
-                (int(count_box.contains(points[PLUS]).sum()), int(count_box.contains(points[MINUS]).sum()))
+                (int(delta.contains(points[PLUS]).sum()), int(delta.contains(points[MINUS]).sum()))
             )
     return np.array(counts, dtype=np.int64).reshape(-1, 2)
 
@@ -798,7 +716,6 @@ def dlr_consistency_check(
     delta: Window,
     settings: MCMCSettings,
     seed=0,
-    corrupt_birth_factor: float = 1.0,
     alpha: float = 0.01,
     resample_attempts: int = 5000,
 ) -> dict:
@@ -809,8 +726,6 @@ def dlr_consistency_check(
     bounded attempts).  If the chain is stationary for the target measure,
     the paired differences of inside-``delta`` statistics are centered at
     zero; batch-means z-tests with a Bonferroni correction give the verdict.
-    ``corrupt_birth_factor`` != 1 deliberately breaks the chain's birth
-    acceptance (negative control).
     """
     if not params.window.contains_window(delta):
         raise ValueError("delta must lie inside the window")
@@ -853,14 +768,7 @@ def dlr_consistency_check(
         diffs.append(tuple(o - s for o, s in zip(original, resampled)))
         return None
 
-    run_wr_chain(
-        params,
-        boundary,
-        settings,
-        chain_seed,
-        record=record,
-        audit_birth_factor=corrupt_birth_factor,
-    )
+    run_wr_chain(params, boundary, settings, chain_seed, record=record)
 
     report: dict = {"alpha": alpha, "retained": len(diffs), "statistics": {}}
     p_values = []

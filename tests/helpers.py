@@ -1,6 +1,7 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and the corrupted chain of
+its negative controls.
 
-Everything here is deliberately naive: plain loops, no spatial indexing, no
+The oracles are deliberately naive: plain loops, no spatial indexing, no
 reuse of the library's fast paths.  Tests compare the library against these.
 """
 from __future__ import annotations
@@ -9,6 +10,7 @@ import math
 
 import numpy as np
 
+from wrlab import wr_gibbs
 from wrlab.geometry import Configuration, Window
 
 
@@ -104,3 +106,17 @@ def count_law_monochrome(m: float, top: int) -> np.ndarray:
     for n in range(1, top + 1):
         probs.append(2.0 * m**n / (math.factorial(n) * norm))
     return np.array(probs)
+
+
+def scale_wr_chain_activity(monkeypatch, factor: float) -> None:
+    """A corrupted single-site WR chain: its dominating mass, which sets the
+    birth and death ratios, is scaled by ``factor`` after set-up, so the chain
+    targets activity ``factor * z`` with the same proposals and sweep length.
+    The consistency check's negative control."""
+    honest = wr_gibbs._WrChain.__init__
+
+    def corrupted(self, *args, **kwargs):
+        honest(self, *args, **kwargs)
+        self.total *= factor
+
+    monkeypatch.setattr(wr_gibbs._WrChain, "__init__", corrupted)

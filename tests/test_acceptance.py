@@ -35,7 +35,6 @@ from wrlab.percolation import (
 from wrlab.random_cluster import (
     DominationConfig,
     IncreasingStatistic,
-    RCParams,
     check_domination,
     check_es_identity,
     estimate_merge_bound,
@@ -61,6 +60,7 @@ from helpers import (
     canonical_labels,
     random_configuration,
     random_window,
+    scale_wr_chain_activity,
 )
 
 
@@ -143,7 +143,7 @@ def test_criterion_3_identity(z):
     start = time.time()
     window = Window.cube(4.0, 2)
     env = realize_environment(HomogeneousLebesgue(1.0), window, seed=0)
-    params = RCParams(a=0.5, z=z, env=env, window=window)
+    params = WRParams(a=0.5, z=z, env=env, window=window)
     delta = Window(np.array([1.5, 1.5]), np.array([2.5, 2.5]))
     settings = MCMCSettings(sweeps=16000, burn_in=2000, thinning=2, batch_count=16)
     result = check_es_identity(params, delta, settings, replicates=2, seed=308000 + int(10 * z))
@@ -230,7 +230,7 @@ def test_criterion_5_domination_suite():
     for name, model in environments.items():
         env = realize_environment(model, window, seed=508002)
         for z in (1.0, 2.0):
-            params = RCParams(a, z, env, window)
+            params = WRParams(a, z, env, window)
             result = check_domination(
                 params, dom, battery, settings, replicates=2,
                 seed=508010 + int(10 * z), poisson_draws=1500,
@@ -361,7 +361,7 @@ def test_criterion_7_environment_validation():
     report(7, "environment validation", ok, "; ".join(details))
 
 
-def test_criterion_8_dlr_consistency():
+def test_criterion_8_dlr_consistency(monkeypatch):
     window = Window.cube(3.0, 2)
     env = realize_environment(HomogeneousLebesgue(1.0), window, seed=0)
     params = WRParams(a=0.5, z=1.0, env=env, window=window)
@@ -373,11 +373,11 @@ def test_criterion_8_dlr_consistency():
         outcome = dlr_consistency_check(params, PLUS_WIRED, delta, settings, seed=child)
         honest_rejections += int(outcome["rejected"])
 
+    # negative control: a chain that targets activity 1.5 z
+    scale_wr_chain_activity(monkeypatch, 1.5)
     corrupted_rejections = 0
     for run, child in enumerate(spawn(808002, 20)):
-        outcome = dlr_consistency_check(
-            params, PLUS_WIRED, delta, settings, seed=child, corrupt_birth_factor=1.5
-        )
+        outcome = dlr_consistency_check(params, PLUS_WIRED, delta, settings, seed=child)
         corrupted_rejections += int(outcome["rejected"])
     power = corrupted_rejections / 20.0
     ok = honest_rejections <= 1 and power > 0.9

@@ -254,13 +254,13 @@ thinning = 1
     [
         (
             WROP_RANDOM_SET,
-            "d06ff3c8b60a4a2b601f40970756dfe1d37ce0805392e77d397a89b5f4ae7ee1",
-            "73bb7fa12e51a15a7fc74bc35af7da4f06a82255c1a0e4c578c7c6faaa9e4044",
+            "2475244becfd175b934d41cf40e168c38143e445dec5fe5666d63fd94d31f2de",
+            "801ca82ea6cc32fa61182bd5f06286653695ef8837e0a2c5255bd013d7e622d4",
         ),
         (
             WROP_SHOT_NOISE,
-            "3616a95bb82bc6fa90113bd805e25dbf77f090c32c3e77c70d9c0134cdaab6b6",
-            "9d743e232144b166059f08dac0fbe1fab600666e137baa4e5201a2f7cc94b26c",
+            "0f5ad8ae4acd7d480eaa302cfc7f599e5a3f0ca7ba549c2dd8968ae81f8215b2",
+            "37c559876e34d84cc7f2d63ac59b386f4b1e4e45ff72097e20c16a7c2310f685",
         ),
     ],
     ids=["random-set", "shot-noise"],
@@ -320,18 +320,18 @@ replicates = 3
     [
         (
             VORONOI_SCAN,
-            "207602d43f811eec2bd7ece0a33867c7dd889c914b1ea51346d93410b47e01bd",
-            "149ef4351883caa5c1b6ee5b5016fdba0f6fd473ec84db545c34d9a19d8b3852",
+            "e4f717b56c841eed88783409082218e4fddb77e0cfade5639dcc4117e077d733",
+            "12959a250d35d13fa2a5d74bbe4f14bee2bf8c837ffd7e3a35c6b6d8af6295dc",
         ),
         (
             ENV_VALIDATE.format(seed=9, model="model = voronoi\nseed_intensity = 1.0", reps=3),
-            "62da47a25a1f9d74dd60413f37d31f8f773d1e6eae343fcadb243e10cbede447",
-            "59a1a89bf0c107e78fb3be58981a911fc9133104d199799eadc92732bda5acb4",
+            "df75dfb3a914f6f5f0bf18d2b9db2724911bb552a9a962e74f8bc960132db1a6",
+            "ab63dbcf6976b4b3c5bc7c6db9984b0b28c012d2123fd156728634b8183bed28",
         ),
         (
             ENV_VALIDATE.format(seed=13, model="model = manhattan\nline_intensity = 0.7", reps=4),
-            "9a4e695ce07c8c8e262cdb3acb5c40855efa0e5360386432a8373dcc04c3dfa3",
-            "3889d2b77a08bf058775f9362b078c60d3f76d005e2c1963b32d74b5fd429336",
+            "c07dcd0536334d93574013e28b791ae2135c6264514a11100125a44967644235",
+            "2d6719b8c3587cae244418d6be187da1f8d5f915ba11df2ab9cb69ea8d50fca7",
         ),
     ],
     ids=["voronoi-scan", "voronoi-env-validate", "manhattan-env-validate"],
@@ -594,6 +594,62 @@ def test_validate_rejects_domination_check_outside_the_plane(tmp_path):
         """,
     )
     assert main(["validate", "--config", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "old, new, section, key",
+    [
+        ("window = 0 0 4 4", "window_sise = 7", "geometry", "window_sise"),
+        ("replicates = 2", "replicate = 9", "schedule", "replicate"),
+        ("sweeps = 2200", "sweep = 10", "mcmc", "sweep"),
+        ("thinning = 2", "thinning = 2\nmove_mix = 0.5 0.3 0.2", "mcmc", "move_mix"),
+        ("thinning = 2", "thinning = 2\nrecolor_cluster_cap = 64", "mcmc", "recolor_cluster_cap"),
+        ("z0 = 1.0", "z0 = 1.0\nkernel_radius = 0.5", "environment", "kernel_radius"),
+        ("seed = 7", "seed = 7\nsead = 8", "experiment", "sead"),
+        ("[mcmc]", "[mcmcs]", "mcmcs", "unknown section"),
+    ],
+    ids=["geometry", "schedule", "mcmc", "move-mix", "recolor-cap", "other-model", "experiment", "section"],
+)
+def test_validate_rejects_keys_no_section_reads(tmp_path, capsys, old, new, section, key):
+    assert main(["validate", "--config", write_config(tmp_path, RC_CHECK, "good.cfg")]) == 0
+    body = RC_CHECK.replace(old, new)
+    assert body != RC_CHECK
+    assert main(["validate", "--config", write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}]" in err and key in err
+
+
+@pytest.mark.parametrize("kind", ["dlr-check", "env-validate"])
+def test_validate_rejects_a_z_grid_the_kind_cannot_use(tmp_path, capsys, kind):
+    # these kinds run at z_grid[0] only; further values would be ignored
+    body = RC_CHECK.replace("kind = rc-check", f"kind = {kind}").replace("replicates = 2", "runs = 2")
+    assert main(["validate", "--config", write_config(tmp_path, body, "one.cfg")]) == 0
+    body = body.replace("z_grid = 0.5", "z_grid = 0.5 1.0")
+    assert main(["validate", "--config", write_config(tmp_path, body)]) == 2
+    assert "z_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable", ["WRLAB_SEED", "WRLAB_WORKERS"])
+def test_non_integer_environment_override_is_a_config_error(tmp_path, monkeypatch, capsys, variable):
+    path = write_config(tmp_path, SCAN.format(reps=1, off=0))
+    monkeypatch.setenv(variable, "abc")
+    assert main(["percolation-scan", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"invalid config: {variable} must be an integer, got 'abc'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_integer_config_value_is_a_config_error(tmp_path):
+    path = write_config(tmp_path, SCAN.format(reps="four", off=0))
+    assert main(["validate", "--config", path]) == 2
+
+
+def test_readme_config_hash_is_pinned(tmp_path):
+    # the hash seeds every replicate stream: a change to it moves every
+    # campaign's outputs, so it changes only on purpose
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    cfg = load_config(write_config(tmp_path, readme.split("```ini\n")[1].split("```")[0]))
+    assert cfg.kind == "rc-check"
+    assert cfg.hash() == "223f9f5cb233b304"
 
 
 def test_delta_size_is_centred_and_delta_must_fit_every_window(tmp_path):

@@ -10,7 +10,6 @@ from wrlab.random_cluster import (
     _RcChain,
     DominationConfig,
     IncreasingStatistic,
-    RCParams,
     check_domination,
     check_es_identity,
     estimate_merge_bound,
@@ -20,10 +19,9 @@ from wrlab.random_cluster import (
     rc_component_exponent,
     run_rc_chain,
     sample_rc_by_color_dropping,
-    step_rc_mcmc,
 )
 from wrlab.rng import as_generator
-from wrlab.wr_gibbs import MCMCSettings
+from wrlab.wr_gibbs import MCMCSettings, WRParams
 
 UNIT = Window.cube(1.0, 2)
 BIG = Window.cube(10.0, 2)
@@ -35,7 +33,7 @@ def conf_of(points):
 
 def unit_params(z, a=2.0):
     env = realize_environment(HomogeneousLebesgue(1.0), UNIT, seed=0)
-    return RCParams(a=a, z=z, env=env, window=UNIT)
+    return WRParams(a=a, z=z, env=env, window=UNIT)
 
 
 # -- component exponent --------------------------------------------------------
@@ -88,7 +86,7 @@ def test_chain_counts_match_poisson_when_weight_is_flat():
 def test_incremental_component_count_consistent_over_long_runs():
     win = Window.cube(4.0, 2)
     env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
-    params = RCParams(a=0.5, z=1.2, env=env, window=win)
+    params = WRParams(a=0.5, z=1.2, env=env, window=win)
     settings = MCMCSettings(sweeps=600, burn_in=100, thinning=1, debug_checks=True)
     records, final, info = run_rc_chain(params, settings, seed=6, record=lambda ch: ch.wired_components)
     assert min(records) >= 1
@@ -98,7 +96,7 @@ def test_incremental_component_count_consistent_over_long_runs():
 def test_incremental_count_consistent_over_segment_environment():
     win = Window.cube(5.0, 2)
     env = realize_environment(VoronoiEdges(1.0), win, seed=3)
-    params = RCParams(a=0.4, z=0.8, env=env, window=win)
+    params = WRParams(a=0.4, z=0.8, env=env, window=win)
     settings = MCMCSettings(sweeps=400, burn_in=100, thinning=1, debug_checks=True)
     records, final, _ = run_rc_chain(params, settings, seed=7, record=lambda ch: ch.n)
     if len(final):
@@ -120,7 +118,7 @@ def test_incremental_count_matches_recount_after_every_move(sites, z, seed, move
     a = 0.5
     win = Window.cube(4.0, 2)
     env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
-    chain = _RcChain(RCParams(a=a, z=z, env=env, window=win), MCMCSettings(), as_generator(seed))
+    chain = _RcChain(WRParams(a=a, z=z, env=env, window=win), MCMCSettings(), as_generator(seed))
     uniform_draw = chain.draw
 
     def lattice_draw(ub):
@@ -151,9 +149,10 @@ def _point_segment_distances(points, a, b):
 
 def test_step_rc_changes_state_by_at_most_one_point():
     params = unit_params(1.0, a=0.3)
+    one_move = MCMCSettings(sweeps=1, burn_in=0, thinning=1, moves_per_sweep=1)
     state = Configuration.empty(2)
     for seed in range(150):
-        new = step_rc_mcmc(state, params, MCMCSettings(), seed=seed)
+        _, new, _ = run_rc_chain(params, one_move, seed=seed, init=state)
         assert abs(len(new) - len(state)) <= 1
         state = new
 
@@ -161,7 +160,7 @@ def test_step_rc_changes_state_by_at_most_one_point():
 def test_color_dropping_agrees_with_direct_chain():
     win = Window.cube(4.0, 2)
     env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
-    params = RCParams(a=0.5, z=1.0, env=env, window=win)
+    params = WRParams(a=0.5, z=1.0, env=env, window=win)
     settings = MCMCSettings(sweeps=5400, burn_in=400, thinning=2)
     dropped = sample_rc_by_color_dropping(params, settings, seed=8)
     direct_records, _, _ = run_rc_chain(
@@ -275,7 +274,7 @@ def test_identity_forced_single_component_small_mass():
 def test_identity_desk_scale():
     win = Window.cube(4.0, 2)
     env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
-    params = RCParams(a=0.5, z=0.5, env=env, window=win)
+    params = WRParams(a=0.5, z=0.5, env=env, window=win)
     delta = Window(np.array([1.5, 1.5]), np.array([2.5, 2.5]))
     settings = MCMCSettings(sweeps=6000, burn_in=1000, thinning=2)
     report = check_es_identity(params, delta, settings, replicates=2, seed=33)
@@ -305,7 +304,7 @@ def test_domination_rejects_bad_tau():
 def test_domination_small_run_all_pass():
     win = Window.cube(4.0, 2)
     env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
-    params = RCParams(a=0.5, z=1.0, env=env, window=win)
+    params = WRParams(a=0.5, z=1.0, env=env, window=win)
     dom = DominationConfig(tau=2.0 ** (-6), merge_bound=6)
     delta = Window(np.array([1.5, 1.5]), np.array([2.5, 2.5]))
     from wrlab.percolation import target_percolation_proxy

@@ -21,14 +21,12 @@ from wrlab.wr_gibbs import (
     RejectionBudgetError,
     WRParams,
     _WrChain,
-    birth_death_log_ratio,
     block_gibbs_counts,
     dlr_consistency_check,
     estimate_order_parameter,
     is_viable,
     run_wr_chain,
     sample_wr_rejection,
-    step_wr_mcmc,
     wired_color,
 )
 
@@ -37,6 +35,7 @@ from helpers import (
     acceptance_monochrome,
     count_law_all_plus,
     count_law_monochrome,
+    scale_wr_chain_activity,
 )
 
 UNIT = Window.cube(1.0, 2)
@@ -49,6 +48,19 @@ def unit_params(z, a=2.0):
 
 def marked(points, colors):
     return MarkedConfiguration(np.asarray(points, dtype=float), np.asarray(colors))
+
+
+ONE_MOVE = MCMCSettings(sweeps=1, burn_in=0, thinning=1, moves_per_sweep=1)
+
+
+def box_gap(delta):
+    """Record of ``n_plus - n_minus`` in ``delta``, counted from the state."""
+
+    def record(chain):
+        plus, minus = chain.to_marked_configuration().counts_in(delta)
+        return plus - minus
+
+    return record
 
 
 # -- viability ----------------------------------------------------------------
@@ -187,31 +199,18 @@ def test_free_boundary_law_is_color_flip_invariant():
 # -- chain -----------------------------------------------------------------------
 
 
-def test_detailed_balance_of_birth_death_ratios():
-    # min(1, r) / min(1, 1/r) must reproduce the density ratio r exactly
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        n = int(rng.integers(0, 30))
-        mass = float(rng.uniform(0.01, 50.0))
-        log_r = birth_death_log_ratio(n, mass)
-        r = math.exp(log_r)
-        forward = min(1.0, r)
-        backward = min(1.0, 1.0 / r)
-        assert abs(forward / backward - r) < 1e-12 * max(1.0, r)
-
-
 def test_step_requires_viable_state():
     params = unit_params(0.5, a=0.4)
     bad = marked([[0.2, 0.2], [0.3, 0.2]], [PLUS, MINUS])
     with pytest.raises(ValueError, match="viable"):
-        step_wr_mcmc(bad, params, FREE, MCMCSettings(), seed=0)
+        run_wr_chain(params, FREE, ONE_MOVE, seed=0, init=bad)
 
 
 def test_single_steps_preserve_viability_and_change_little():
     params = unit_params(1.0, a=0.4)
     state = MarkedConfiguration.empty(2)
     for seed in range(200):
-        new = step_wr_mcmc(state, params, PLUS_WIRED, MCMCSettings(), seed=seed)
+        _, new, _ = run_wr_chain(params, PLUS_WIRED, ONE_MOVE, seed=seed, init=state)
         assert is_viable(new, params.a, PLUS_WIRED, params.window)
         assert abs(len(new) - len(state)) <= 1 or len(new) == len(state)
         state = new
@@ -273,30 +272,11 @@ def test_free_boundary_order_parameter_vanishes():
     params = WRParams(a=0.5, z=1.2, env=env, window=win)
     delta = Window(np.array([0.5, 0.5]), np.array([2.5, 2.5]))
     settings = MCMCSettings(sweeps=3100, burn_in=600, thinning=1)
-    records, _, _ = run_wr_chain(
-        params, FREE, settings, seed=6,
-        record=lambda ch: ch.order_parameter_value(), count_box=delta,
-    )
+    records, _, _ = run_wr_chain(params, FREE, settings, seed=6, record=box_gap(delta))
     from wrlab.stats import batch_means
 
     est, _ = batch_means(records, 16)
     assert abs(est.value) <= 3.0 * max(est.stderr, 1e-4)
-
-
-def test_registered_box_counters_match_recount():
-    win = Window.cube(4.0, 2)
-    env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
-    params = WRParams(a=0.5, z=1.0, env=env, window=win)
-    delta = Window(np.array([1.0, 1.0]), np.array([3.0, 3.0]))
-
-    def record(ch):
-        conf = ch.to_marked_configuration()
-        plus, minus = conf.counts_in(delta)
-        assert ch.box_counts == [plus, minus]
-        return plus - minus
-
-    settings = MCMCSettings(sweeps=400, burn_in=100, thinning=4)
-    run_wr_chain(params, MINUS_WIRED, settings, seed=12, record=record, count_box=delta)
 
 
 @hypothesis_settings(max_examples=40, deadline=None)
@@ -313,9 +293,7 @@ def test_bookkeeping_matches_recount_after_every_move(sites, env_seed, z, seed, 
     a = 0.5
     win = Window.cube(4.0, 2)
     env = realize_environment(RandomSetIndicator(1.2, 0.8, 0.5, 0.5), win, seed=env_seed)
-    delta = Window(np.array([1.0, 1.0]), np.array([3.0, 3.0]))
     chain = _WrChain(WRParams(a=a, z=z, env=env, window=win), PLUS_WIRED, MCMCSettings(), as_generator(seed))
-    chain.register_count_box(delta)
     uniform_draw = chain.draw
 
     def lattice_draw(ub):
@@ -330,7 +308,6 @@ def test_bookkeeping_matches_recount_after_every_move(sites, env_seed, z, seed, 
     def assert_recount():
         conf = chain.to_marked_configuration()
         assert is_viable(conf, a, PLUS_WIRED, win)
-        assert chain.box_counts == list(conf.counts_in(delta))
         pts = conf.positions
         assert chain.tvals == (env.density_at(pts) / env.sup_bound).tolist()
         assert chain.bnear == (win.boundary_distance(pts) <= 2 * a).tolist()
@@ -430,10 +407,7 @@ def test_block_sampler_agrees_with_single_site_chain():
     delta = Window(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
     settings = MCMCSettings(sweeps=3200, burn_in=200, thinning=2)
     block = estimate_order_parameter(params, delta, settings, replicates=2, seed=51)
-    records, _, _ = run_wr_chain(
-        params, PLUS_WIRED, settings, seed=52,
-        record=lambda ch: ch.order_parameter_value(), count_box=delta,
-    )
+    records, _, _ = run_wr_chain(params, PLUS_WIRED, settings, seed=52, record=box_gap(delta))
     from wrlab.stats import batch_means
 
     single, _ = batch_means(records, settings.batch_count)
@@ -465,11 +439,10 @@ def test_dlr_honest_chain_not_rejected():
     assert not report["rejected"]
 
 
-def test_dlr_corrupted_chain_rejected():
+def test_dlr_corrupted_chain_rejected(monkeypatch):
     params, delta, settings = dlr_setup()
-    report = dlr_consistency_check(
-        params, PLUS_WIRED, delta, settings, seed=3, corrupt_birth_factor=1.5
-    )
+    scale_wr_chain_activity(monkeypatch, 1.5)
+    report = dlr_consistency_check(params, PLUS_WIRED, delta, settings, seed=3)
     assert report["rejected"]
 
 
@@ -516,9 +489,23 @@ def test_marked_configuration_validation():
         marked([[0.0, 0.0], [0.0, 0.0]], [PLUS, MINUS])
 
 
+def test_counts_in_counts_each_color_in_the_closed_box():
+    # the chains' box gap is read from here: the box is closed, as in
+    # Window.contains, and each colour is counted on its own
+    delta = Window(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+    conf = marked(
+        [[1.0, 1.5], [2.0, 2.0], [1.5, 1.5], [np.nextafter(2.0, 3.0), 1.5], [0.5, 0.5], [1.2, 1.9]],
+        [PLUS, PLUS, MINUS, PLUS, MINUS, MINUS],
+    )
+    assert conf.counts_in(delta) == (2, 2)
+    assert conf.flipped().counts_in(delta) == (2, 2)
+    assert MarkedConfiguration.empty(2).counts_in(delta) == (0, 0)
+    one_sided = MarkedConfiguration(conf.positions[:2], conf.colors[:2])
+    assert one_sided.counts_in(delta) == (2, 0)
+    assert one_sided.flipped().counts_in(delta) == (0, 2)
+
+
 def test_mcmc_settings_validation():
-    with pytest.raises(ValueError):
-        MCMCSettings(move_mix=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         MCMCSettings(sweeps=10, burn_in=10)
     with pytest.raises(ValueError):
