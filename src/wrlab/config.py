@@ -6,15 +6,17 @@ no wall-clock seeding anywhere.  Sections mirror the run structure::
     [experiment]        kind, seed, output, workers
     [environment]       model + the model's parameters, optional guard_margin
     [geometry]          dim, a, window or window_size, delta or delta_size
-    [schedule]          z_grid, L_list, replicates, replicate_offset,
-                        both_axes, runs, tau, merge_bound
-    [mcmc]              sweeps, burn_in, thinning, batch_count, moves_per_sweep
+    [schedule]          z_grid, replicate_offset, and the kind's own keys:
+                        L_list, replicates, both_axes, runs, tau, merge_bound
+    [mcmc]              the fields of MCMCSettings but debug_checks
 
-A section holds only these keys, and ``[environment]`` only the parameters
-of its model; any other section or key is a :class:`ConfigError`, so a
-misspelt key cannot silently fall back to its default.  Only named
-environment models are expressible in a file; arbitrary density handles
-exist at the library level only.
+A section holds only the keys its kind reads, ``[environment]`` only the
+parameters of its model, and a kind that runs no chain takes no
+``[mcmc]``; any other section or key is a :class:`ConfigError`, so a
+misspelt or unused key cannot silently fall back to its default or move the
+config hash.  A value that does not parse names its section and key.  Only
+named environment models are expressible in a file; arbitrary density
+handles exist at the library level only.
 """
 from __future__ import annotations
 
@@ -38,14 +40,18 @@ from .intensity import (
 )
 from .wr_gibbs import MCMCSettings
 
-EXPERIMENT_KINDS = (
-    "percolation-scan",
-    "wr-order-parameter",
-    "rc-check",
-    "domination-check",
-    "dlr-check",
-    "env-validate",
-)
+# the [schedule] keys each kind reads besides z_grid and replicate_offset
+_SCHEDULE_KEYS = {
+    "percolation-scan": ("L_list", "replicates", "both_axes"),
+    "wr-order-parameter": ("L_list", "replicates"),
+    "rc-check": ("replicates",),
+    "domination-check": ("replicates", "tau", "merge_bound"),
+    "dlr-check": ("runs",),
+    "env-validate": ("replicates",),
+}
+EXPERIMENT_KINDS = tuple(_SCHEDULE_KEYS)
+# kinds that run no chain, and so take no [mcmc] section
+_CHAINLESS_KINDS = ("percolation-scan", "env-validate")
 
 # each model reads its dataclass fields from [environment]
 _MODELS = {
@@ -62,10 +68,8 @@ _SECTION_KEYS = {
     "experiment": ("kind", "seed", "output", "workers"),
     "environment": ("model", "guard_margin"),
     "geometry": ("dim", "a", "window", "window_size", "delta", "delta_size"),
-    "schedule": (
-        "z_grid", "L_list", "replicates", "replicate_offset", "both_axes", "runs", "tau", "merge_bound"
-    ),
-    "mcmc": ("sweeps", "burn_in", "thinning", "batch_count", "moves_per_sweep"),
+    "schedule": ("z_grid", "replicate_offset"),
+    "mcmc": tuple(f.name for f in fields(MCMCSettings) if f.name != "debug_checks"),
 }
 
 # kinds that run at the first activity of z_grid only
@@ -121,11 +125,22 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _check_keys(name: str, section, allowed) -> None:
+def _read(section, name: str, key: str, convert, default=None):
+    """``convert`` of ``[name] key``, or ``default`` when the key is absent."""
+    text = section.get(key)
+    if text is None:
+        return default
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {key} = {text!r} does not parse: {exc}") from None
+
+
+def _check_keys(name: str, section, allowed, reader: str = "it") -> None:
     unknown = sorted(set(section) - {key.lower() for key in allowed})
     if unknown:
         raise ConfigError(
-            f"unknown key {', '.join(unknown)} in [{name}]; it reads {', '.join(allowed)}"
+            f"unknown key {', '.join(unknown)} in [{name}]; {reader} reads {', '.join(allowed)}"
         )
 
 
@@ -140,18 +155,17 @@ def _parse_model(section) -> tuple[IntensityModel, str]:
     missing = [key for key in keys if key not in section and key not in _MODEL_DEFAULTS]
     if missing:
         raise ConfigError(f"model {name!r} needs {', '.join(missing)}")
+    params = {key: _read(section, "environment", key, float, _MODEL_DEFAULTS.get(key)) for key in keys}
     try:
-        params = {key: section.getfloat(key, _MODEL_DEFAULTS.get(key)) for key in keys}
         return _MODELS[name](**params), name
     except ValueError as exc:
         raise ConfigError(f"bad parameters for model {name!r}: {exc}") from exc
 
 
 def _parse_corners(section, prefix: str, dim: int) -> Window | None:
-    corners = section.get(prefix, None)
-    if corners is None:
+    vals = _read(section, "geometry", prefix, _floats)
+    if vals is None:
         return None
-    vals = _floats(corners)
     if len(vals) != 2 * dim:
         raise ConfigError(
             f"{prefix} needs {2 * dim} numbers (lower then upper), got {len(vals)}"
@@ -162,6 +176,10 @@ def _parse_corners(section, prefix: str, dim: int) -> Window | None:
 def default_delta(window: Window) -> Window:
     """The default count box: centred, side 1 clipped to a fifth of the window."""
     return window.centered_cube(min(1.0, float(window.sides.min()) / 5.0))
+
+
+# resolved-config keys that are ExperimentConfig fields of the same name and value
+_RESOLVED_AS_IS = ("kind", "seed", "dim", "a", "replicates", "runs", "guard_margin", "tau", "merge_bound")
 
 
 def config_from_resolved(raw: dict) -> ExperimentConfig:
@@ -179,33 +197,18 @@ def config_from_resolved(raw: dict) -> ExperimentConfig:
                 return None
             return Window(np.array(vals[:dim]), np.array(vals[dim:]))
 
-        mcmc = raw["mcmc"]
-        settings = MCMCSettings(
-            sweeps=mcmc["sweeps"],
-            burn_in=mcmc["burn_in"],
-            thinning=mcmc["thinning"],
-            batch_count=mcmc["batch_count"],
-            moves_per_sweep=mcmc["moves_per_sweep"],
-        )
+        settings = MCMCSettings(**{key: raw["mcmc"][key] for key in _SECTION_KEYS["mcmc"]})
         return ExperimentConfig(
-            kind=raw["kind"],
+            **{key: raw[key] for key in _RESOLVED_AS_IS},
             model=model,
             model_name=raw["model"],
-            dim=dim,
-            a=raw["a"],
             window=window_of(raw["window"]),
             delta=window_of(raw["delta"]),
             z_grid=list(raw["z_grid"]),
             L_list=list(raw["L_list"]),
-            replicates=raw["replicates"],
-            runs=raw["runs"],
             settings=settings,
-            seed=raw["seed"],
             out_dir=raw.get("output", "results"),
             workers=raw.get("workers", 1),
-            guard_margin=raw["guard_margin"],
-            tau=raw["tau"],
-            merge_bound=raw["merge_bound"],
             replicate_offset=raw.get("replicate_offset", 0),
             both_axes=raw.get("both_axes", False),
             raw=dict(raw),
@@ -231,47 +234,48 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     for name in parser.sections():
         if name not in _SECTION_KEYS:
             raise ConfigError(f"unknown section [{name}]; sections are {', '.join(_SECTION_KEYS)}")
-        if name != "environment":
-            _check_keys(name, parser[name], _SECTION_KEYS[name])
-    if "experiment" not in parser:
-        raise ConfigError("missing [experiment] section")
+    for name in ("experiment", "environment", "geometry"):
+        if name not in parser:
+            raise ConfigError(f"missing [{name}] section")
     exp = parser["experiment"]
+    _check_keys("experiment", exp, _SECTION_KEYS["experiment"])
     kind = exp.get("kind", "").strip()
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+    if "mcmc" in parser and kind in _CHAINLESS_KINDS:
+        raise ConfigError(f"{kind} runs no chain; it reads no [mcmc] section")
+    for name in ("geometry", "schedule", "mcmc"):
+        if name in parser:
+            allowed = _SECTION_KEYS[name] + (_SCHEDULE_KEYS[kind] if name == "schedule" else ())
+            _check_keys(name, parser[name], allowed, kind)
     if "seed" not in exp:
         raise ConfigError("a master seed is mandatory (no wall-clock seeding)")
-    seed = exp.getint("seed")
+    seed = _read(exp, "experiment", "seed", int)
     out_dir = exp.get("output", "results")
-    workers = exp.getint("workers", 1)
+    workers = _read(exp, "experiment", "workers", int, 1)
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
-    if "environment" not in parser:
-        raise ConfigError("missing [environment] section")
     model, model_name = _parse_model(parser["environment"])
-    guard_margin = parser["environment"].getfloat("guard_margin", None)
+    guard_margin = _read(parser["environment"], "environment", "guard_margin", float)
     try:
         check_guard_margin(model, guard_margin)
     except GuardMarginError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if "geometry" not in parser:
-        raise ConfigError("missing [geometry] section")
     geo = parser["geometry"]
-    dim = geo.getint("dim", 2)
+    dim = _read(geo, "geometry", "dim", int, 2)
     if dim < 1:
         raise ConfigError("dim must be >= 1")
     if model_name in ("voronoi", "manhattan") and dim != 2:
         raise ConfigError(f"model {model_name!r} requires dim = 2")
-    a = geo.getfloat("a", None)
+    a = _read(geo, "geometry", "a", float)
     if a is None or a <= 0:
         raise ConfigError("geometry needs a positive ball radius a")
 
     sched = parser["schedule"] if "schedule" in parser else {}
 
-    L_text = sched.get("L_list")
-    L_list = _floats(L_text) if L_text else []
+    L_list = _read(sched, "schedule", "L_list", _floats, [])
     if kind == "percolation-scan" and not L_list:
         raise ConfigError("percolation-scan needs L_list in [schedule]")
     if any(l2 <= l1 for l1, l2 in zip(L_list, L_list[1:])):
@@ -280,13 +284,13 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     # with an L_list the order parameter runs on the cubes [0, L]^dim
     per_L = kind == "wr-order-parameter" and bool(L_list)
     window = _parse_corners(geo, "window", dim)
-    window_size = geo.getfloat("window_size", None)
+    window_size = _read(geo, "geometry", "window_size", float)
     if window is None and window_size is not None:
         window = Window.cube(window_size, dim)
     if window is None and not (per_L or kind == "percolation-scan"):
         raise ConfigError("geometry section must define window or window_size")
     delta = _parse_corners(geo, "delta", dim)
-    delta_size = geo.getfloat("delta_size", None)
+    delta_size = _read(geo, "geometry", "delta_size", float)
     if delta is None and delta_size is not None:
         if window is None:
             raise ConfigError(
@@ -309,8 +313,7 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             "domination-check needs dim = 2: its statistic battery and merge bound are planar"
         )
 
-    z_text = sched.get("z_grid", "1.0")
-    z_grid = _floats(z_text)
+    z_grid = _read(sched, "schedule", "z_grid", _floats, [1.0])
     if not z_grid:
         raise ConfigError("z_grid must not be empty")
     if any(z < 0 for z in z_grid):
@@ -319,28 +322,23 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("z_grid must be strictly increasing")
     if kind in _SINGLE_ACTIVITY_KINDS and len(z_grid) > 1:
         raise ConfigError(f"{kind} runs at one activity; z_grid must hold one value, not {len(z_grid)}")
-    replicates = int(sched.get("replicates", "4"))
+    replicates = _read(sched, "schedule", "replicates", int, 4)
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    replicate_offset = int(sched.get("replicate_offset", "0"))
+    replicate_offset = _read(sched, "schedule", "replicate_offset", int, 0)
     if replicate_offset < 0:
         raise ConfigError("replicate_offset must be >= 0")
     both_axes = str(sched.get("both_axes", "false")).strip().lower() in ("1", "true", "yes")
-    runs = int(sched.get("runs", "20"))
-    tau_text = sched.get("tau")
-    tau = float(tau_text) if tau_text else None
-    mb_text = sched.get("merge_bound")
-    merge_bound = int(mb_text) if mb_text else None
+    runs = _read(sched, "schedule", "runs", int, 20)
+    tau = _read(sched, "schedule", "tau", float)
+    merge_bound = _read(sched, "schedule", "merge_bound", int)
 
     mcmc = parser["mcmc"] if "mcmc" in parser else {}
+    given = {key: _read(mcmc, "mcmc", key, int) for key in _SECTION_KEYS["mcmc"] if key in mcmc}
+    if "moves_per_sweep" in given:
+        given["moves_per_sweep"] = given["moves_per_sweep"] or None  # 0 means the default
     try:
-        settings = MCMCSettings(
-            sweeps=int(mcmc.get("sweeps", "2000")),
-            burn_in=int(mcmc.get("burn_in", "500")),
-            thinning=int(mcmc.get("thinning", "2")),
-            batch_count=int(mcmc.get("batch_count", "16")),
-            moves_per_sweep=int(mcmc.get("moves_per_sweep", "0")) or None,
-        )
+        settings = MCMCSettings(**given)
     except ValueError as exc:
         raise ConfigError(f"bad mcmc section: {exc}") from exc
 
@@ -366,12 +364,6 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         "runs": runs,
         "tau": tau,
         "merge_bound": merge_bound,
-        "mcmc": {
-            "sweeps": settings.sweeps,
-            "burn_in": settings.burn_in,
-            "thinning": settings.thinning,
-            "batch_count": settings.batch_count,
-            "moves_per_sweep": settings.moves_per_sweep,
-        },
+        "mcmc": {key: getattr(settings, key) for key in _SECTION_KEYS["mcmc"]},
     }
     return config_from_resolved(raw)

@@ -566,33 +566,20 @@ def _midpoint_grid(region: Window, cell: float) -> tuple[np.ndarray, float]:
     return pts, cell_volume
 
 
-def total_mass(
-    env: EnvironmentRealization, region: Window, with_tolerance: bool = False
-):
+def total_mass(env: EnvironmentRealization, region: Window) -> float:
     """Mass of the environment on a box region.
 
-    Exact for constant densities and segment measures; midpoint-rule for
-    general densities.  With ``with_tolerance=True`` the return value is a
-    ``(mass, abs_tolerance)`` pair, the tolerance being the difference
-    between the fine and a coarser grid.
+    Exact for constant densities and segment measures; for general densities
+    the midpoint rule on cells of half the realization's ``grid_hint``.
     """
     _check_region(env, region)
     if env.constant_density is not None:
-        mass = env.constant_density * region.volume
-        return (mass, 0.0) if with_tolerance else mass
+        return env.constant_density * region.volume
     if env.segments is not None:
         # Python's left-to-right sum, not numpy's pairwise one
-        mass = float(sum(_clipped_segments(env, region)[2].tolist()))
-        return (mass, 0.0) if with_tolerance else mass
-
-    cell = env.grid_hint / 2.0
-    pts, vol = _midpoint_grid(region, cell)
-    fine = float(env.density_at(pts).sum() * vol)
-    if not with_tolerance:
-        return fine
-    pts_c, vol_c = _midpoint_grid(region, env.grid_hint)
-    coarse = float(env.density_at(pts_c).sum() * vol_c)
-    return fine, abs(fine - coarse)
+        return float(sum(_clipped_segments(env, region)[2].tolist()))
+    pts, vol = _midpoint_grid(region, env.grid_hint / 2.0)
+    return float(env.density_at(pts).sum() * vol)
 
 
 def sample_poisson(

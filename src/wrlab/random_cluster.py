@@ -14,7 +14,7 @@ the thinned Poisson process is dominated in every increasing statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -201,8 +201,10 @@ class _RcChain(_BirthDeathChain):
         self.bnear.pop(i)
         self.tvals.pop(i)
 
-    def _regroup(self, members_by_part: list[set]) -> None:
-        """Re-point a split cluster: one star per surviving part."""
+    def _regroup(self, members_by_part: list[set]) -> int:
+        """Re-point clusters: one star per part; returns how many parts
+        touch the boundary."""
+        touching = 0
         for part in members_by_part:
             rep = next(iter(part))
             tc = 0
@@ -212,6 +214,9 @@ class _RcChain(_BirthDeathChain):
                     tc += 1
             self.size[rep] = len(part)
             self.touch[rep] = tc
+            if tc > 0:
+                touching += 1
+        return touching
 
     def _split_parts(self, i: int, contacts: list[int]) -> list[set] | None:
         """Connected parts of i's cluster after removing i (grid BFS).
@@ -248,9 +253,8 @@ class _RcChain(_BirthDeathChain):
         self.parent = {}
         self.size = {}
         self.touch = {}
+        parts: list[set] = []
         seen: set[int] = set()
-        self.free_count = 0
-        self.touching_count = 0
         for i in self.active:
             if i in seen:
                 continue
@@ -263,17 +267,9 @@ class _RcChain(_BirthDeathChain):
                         part.add(k)
                         stack.append(k)
             seen |= part
-            rep = next(iter(part))
-            tc = 0
-            for m in part:
-                self.parent[m] = rep
-                if self.bnear[m]:
-                    tc += 1
-            self.size[rep] = len(part)
-            self.touch[rep] = tc
-            self.free_count += 1
-            if tc > 0:
-                self.touching_count += 1
+            parts.append(part)
+        self.free_count = len(parts)
+        self.touching_count = self._regroup(parts)
 
     # -- moves ---------------------------------------------------------------
 
@@ -337,9 +333,6 @@ class _RcChain(_BirthDeathChain):
             new_flag = 1 if self.touch[root] > 0 else 0
             self.touching_count += new_flag - old_flag
         else:
-            new_touching = sum(
-                1 for part in parts if any(self.bnear[m] for m in part)
-            )
             self._regroup(parts)
             self.free_count += len(parts) - 1
             self.touching_count += new_touching - old_flag
@@ -635,6 +628,32 @@ def statistic_chain(
     return {s.name: batch_means(values[s.name], settings.batch_count)[0] for s in stats}
 
 
+def identity_verdict(psi: EstimateWithError, nb: EstimateWithError) -> tuple[float, bool]:
+    """``|psi - nb|`` in combined standard errors, and whether it is at most 3.
+
+    :func:`check_es_identity` pools independent chains in one environment by
+    their batch means; the ``rc-check`` campaign draws one environment per
+    replicate and pools by the replicate variance, which also carries the
+    spread between environments.
+    """
+    sigma = combined_sigma(psi, nb)
+    return sigma, sigma <= 3.0
+
+
+def domination_verdict(poisson: EstimateWithError, chain: EstimateWithError) -> tuple[float, bool]:
+    """The margin ``chain - poisson`` in combined standard errors (inf when
+    both are exact), and whether ``poisson <= chain + 3`` of them.
+
+    :func:`check_domination` pools independent chains in one environment by
+    their batch means; the ``domination-check`` campaign draws one
+    environment per replicate and pools by the replicate variance, which
+    also carries the spread between environments.
+    """
+    combined = math.hypot(poisson.stderr, chain.stderr)
+    margin = (chain.value - poisson.value) / combined if combined > 0 else math.inf
+    return margin, poisson.value <= chain.value + 3.0 * combined
+
+
 def check_es_identity(
     params: WRParams,
     delta: Window,
@@ -660,16 +679,14 @@ def check_es_identity(
             for child in spawn(rc_seed, replicates)
         ]
     )
-    difference = psi.value - nb.value
-    combined = math.hypot(psi.stderr, nb.stderr)
-    sigma_units = combined_sigma(psi, nb)
+    sigma_units, ok = identity_verdict(psi, nb)
     return {
-        "order_parameter": psi.as_dict(),
-        "boundary_connected": nb.as_dict(),
-        "difference": difference,
-        "combined_stderr": combined,
+        "order_parameter": asdict(psi),
+        "boundary_connected": asdict(nb),
+        "difference": psi.value - nb.value,
+        "combined_stderr": math.hypot(psi.stderr, nb.stderr),
         "sigma_units": sigma_units,
-        "pass": bool(sigma_units <= 3.0),
+        "pass": bool(ok),
     }
 
 
@@ -701,12 +718,11 @@ def check_domination(
     for s in stats:
         left = summarize_replicates(poisson_values[s.name])
         right = pool_independent([means[s.name] for means in chain_means])
-        combined = math.hypot(left.stderr, right.stderr)
-        ok = left.value <= right.value + 3.0 * combined
+        margin, ok = domination_verdict(left, right)
         report["statistics"][s.name] = {
-            "poisson": left.as_dict(),
-            "random_cluster": right.as_dict(),
-            "margin_sigma": (right.value - left.value) / combined if combined > 0 else math.inf,
+            "poisson": asdict(left),
+            "random_cluster": asdict(right),
+            "margin_sigma": margin,
             "pass": bool(ok),
         }
         report["pass"] = report["pass"] and bool(ok)

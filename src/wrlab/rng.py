@@ -46,9 +46,14 @@ def as_generator(seed) -> np.random.Generator:
 
 
 def spawn(seed, n: int):
-    """Split a seed into ``n`` independent child streams."""
+    """Split a seed into ``n`` independent child streams.
+
+    Pure for a SeedSequence: the children a first ``seed.spawn(n)`` returns,
+    however often ``seed`` was spawned before.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed.spawn(n)
+        key, size = seed.spawn_key, seed.pool_size
+        return [np.random.SeedSequence(seed.entropy, spawn_key=(*key, i), pool_size=size) for i in range(n)]
     if isinstance(seed, (int, np.integer)):
         return np.random.SeedSequence(int(seed)).spawn(n)
     if isinstance(seed, np.random.Generator):

@@ -16,14 +16,14 @@ import concurrent.futures
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, default_delta
-from .geometry import Window
+from .geometry import ConnectivityParams, Window, build_components, has_crossing
 from .intensity import (
     ManhattanGrid,
     RandomSetIndicator,
@@ -34,16 +34,19 @@ from .intensity import (
     sample_poisson,
     total_mass,
 )
-from .percolation import estimate_crossing_probability, scan_rows, threshold_from_rows
+from .percolation import estimate_crossing_probability, scan_rows, target_reach, threshold_from_rows
 from .random_cluster import (
     DominationConfig,
+    IncreasingStatistic,
     boundary_connected_chain,
+    domination_verdict,
+    identity_verdict,
     merge_bound_cap,
     statistic_chain,
     thinned_poisson_values,
 )
 from .rng import seed_sequence
-from .stats import combined_sigma, pool_replicates
+from .stats import EstimateWithError, pool_replicates
 from .wr_gibbs import (
     PLUS_WIRED,
     WRParams,
@@ -71,22 +74,6 @@ class RunManifest:
     output_files: list = field(default_factory=list)
     resolved_config: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "code_version": self.code_version,
-            "kind": self.kind,
-            "master_seed": self.master_seed,
-            "replicate_seeds": self.replicate_seeds,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "criteria": self.criteria,
-            "passed": self.passed,
-            "incomplete": self.incomplete,
-            "output_files": self.output_files,
-            "resolved_config": self.resolved_config,
-        }
-
 
 def _replicate_entropy(cfg: ExperimentConfig, index: int) -> list:
     """Entropy words for one replicate stream: master seed, config hash,
@@ -98,7 +85,9 @@ def _replicate_seed(cfg: ExperimentConfig, index: int):
     return seed_sequence(*_replicate_entropy(cfg, index))
 
 
-def _env_for(cfg: ExperimentConfig, window: Window, seed):
+def _env_for(cfg: ExperimentConfig, window: Window, index: int):
+    """Replicate ``index``'s environment on ``window``, from its own stream."""
+    seed = seed_sequence(cfg.seed, cfg.hash(), "env", index)
     return realize_environment(cfg.model, window, cfg.guard_margin, seed)
 
 
@@ -138,10 +127,9 @@ def _rep_wr_order_parameter(cfg: ExperimentConfig, index: int) -> dict:
     )
     cells = []
     children = seed.spawn(len(windows) * len(cfg.z_grid))
-    env_seed = seed_sequence(cfg.seed, cfg.hash(), "env", index)
     k = 0
     for window in windows:
-        env = _env_for(cfg, window, env_seed)
+        env = _env_for(cfg, window, index)
         delta = cfg.delta if cfg.delta is not None else default_delta(window)
         for z in cfg.z_grid:
             cell = {"L": float(window.sides[0]), "z": z, "psi": 0.0, "stderr": 0.0, "retained": 1, "lag1": 0.0}
@@ -156,7 +144,7 @@ def _rep_wr_order_parameter(cfg: ExperimentConfig, index: int) -> dict:
 
 def _rep_rc_check(cfg: ExperimentConfig, index: int) -> dict:
     seed = _replicate_seed(cfg, index)
-    env = _env_for(cfg, cfg.window, seed_sequence(cfg.seed, cfg.hash(), "env", index))
+    env = _env_for(cfg, cfg.window, index)
     cells = []
     children = seed.spawn(2 * len(cfg.z_grid))
     for i, z in enumerate(cfg.z_grid):
@@ -183,10 +171,6 @@ def _rep_rc_check(cfg: ExperimentConfig, index: int) -> dict:
 
 
 def _domination_battery(cfg: ExperimentConfig):
-    from .random_cluster import IncreasingStatistic
-    from .percolation import target_reach
-    from .geometry import ConnectivityParams, build_components, has_crossing
-
     window, delta, a = cfg.window, cfg.delta, cfg.a
     half = (window.lower + window.upper) / 2.0
     quadrants = []
@@ -230,7 +214,7 @@ def _domination_battery(cfg: ExperimentConfig):
 
 def _rep_domination_check(cfg: ExperimentConfig, index: int) -> dict:
     seed = _replicate_seed(cfg, index)
-    env = _env_for(cfg, cfg.window, seed_sequence(cfg.seed, cfg.hash(), "env", index))
+    env = _env_for(cfg, cfg.window, index)
     stats = _domination_battery(cfg)
     tau, merge_bound = _resolve_tau(cfg)
     draws = max(200, 2000 // max(1, cfg.replicates))
@@ -255,7 +239,7 @@ def _rep_domination_check(cfg: ExperimentConfig, index: int) -> dict:
 
 def _rep_dlr_check(cfg: ExperimentConfig, index: int) -> dict:
     seed = _replicate_seed(cfg, index)
-    env = _env_for(cfg, cfg.window, seed_sequence(cfg.seed, cfg.hash(), "env", index))
+    env = _env_for(cfg, cfg.window, index)
     params = WRParams(cfg.a, cfg.z_grid[0], env, cfg.window)
     report = dlr_consistency_check(
         params, PLUS_WIRED, cfg.delta, cfg.settings, seed=seed
@@ -288,7 +272,7 @@ def _closed_form_mean_density(cfg: ExperimentConfig) -> float | None:
 def _rep_env_validate(cfg: ExperimentConfig, index: int) -> dict:
     seed = _replicate_seed(cfg, index)
     env_seed, poisson_seed = seed.spawn(2)
-    env = _env_for(cfg, cfg.window, env_seed)
+    env = realize_environment(cfg.model, cfg.window, cfg.guard_margin, env_seed)
     z = cfg.z_grid[0]
     conf = sample_poisson(env, cfg.window, z, poisson_seed)
     record = {
@@ -399,8 +383,7 @@ def _sum_rc_check(cfg: ExperimentConfig, records: list[dict]):
         r = len(records)
         psi = pool_replicates(psis, psi_ses)
         nb = pool_replicates(nbs, nb_ses)
-        sigma = combined_sigma(psi, nb)
-        ok = sigma <= 3.0
+        sigma, ok = identity_verdict(psi, nb)
         criteria[f"identity_z_{z:g}"] = bool(ok)
         rows.append(
             [cfg.model_name, z, r, psi.value, psi.stderr, nb.value, nb.stderr, sigma, ok]
@@ -444,9 +427,7 @@ def _sum_domination_check(cfg: ExperimentConfig, records: list[dict]):
             var = max(0.0, second - mean * mean)
             p_se = math.sqrt(var / draws) if draws > 1 else 0.0
             rc = pool_replicates(rc_vals, rc_ses)
-            combined = math.hypot(p_se, rc.stderr)
-            ok = mean <= rc.value + 3.0 * combined
-            margin = (rc.value - mean) / combined if combined > 0 else math.inf
+            margin, ok = domination_verdict(EstimateWithError(mean, p_se, draws, "replicate-variance"), rc)
             criteria[f"domination_z_{z:g}_{name}"] = bool(ok)
             rows.append(
                 [cfg.model_name, z, name, mean, p_se, rc.value, rc.stderr, margin, ok]
@@ -550,6 +531,48 @@ def _worker_task(payload):
     return _REPLICATE_PHASE[cfg.kind](cfg, index)
 
 
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
+def _write_outputs(
+    cfg: ExperimentConfig, out: str, indices, records: list[dict], started_at: str, failure: dict | None = None
+) -> RunManifest:
+    """Summarize sorted records and write the result files and the manifest.
+
+    ``failure`` (the error and the failed replicate indices) writes only the
+    finished records, as partials, with no summary, and marks the manifest
+    incomplete.
+    """
+    os.makedirs(out, exist_ok=True)
+    manifest = RunManifest(
+        config_hash=cfg.hash(),
+        code_version=__version__,
+        kind=cfg.kind,
+        master_seed=cfg.seed,
+        replicate_seeds=[_replicate_entropy(cfg, i) for i in indices],
+        started_at=started_at,
+        finished_at=None,
+        resolved_config=cfg.raw,
+    )
+    jsonl_path = os.path.join(out, "replicates.jsonl")
+    if failure is not None:
+        manifest.incomplete = True
+        _write_jsonl(jsonl_path, cfg, records, {}, failure)
+        manifest.output_files = ["replicates.jsonl"]
+    else:
+        header, rows, criteria, summary = _SUMMARIZE_PHASE[cfg.kind](cfg, records)
+        _write_csv(os.path.join(out, "results.csv"), header, rows, cfg.hash())
+        _write_jsonl(jsonl_path, cfg, records, criteria, summary)
+        manifest.criteria = criteria
+        manifest.passed = all(criteria.values()) if criteria else None
+        manifest.output_files = ["results.csv", "replicates.jsonl"]
+    manifest.finished_at = _now()
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+    return manifest
+
+
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | None = None, progress=None
 ) -> RunManifest:
@@ -561,20 +584,9 @@ def run_experiment(
     outcome)``, when given, is called as each replicate finishes, with its
     record or the exception it raised; it does not touch the outputs.
     """
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    started_at = _now()
     n_reps = replicate_count(cfg)
     indices = list(range(cfg.replicate_offset, cfg.replicate_offset + n_reps))
-    manifest = RunManifest(
-        config_hash=cfg.hash(),
-        code_version=__version__,
-        kind=cfg.kind,
-        master_seed=cfg.seed,
-        replicate_seeds=[_replicate_entropy(cfg, i) for i in indices],
-        started_at=datetime.now(timezone.utc).isoformat(),
-        finished_at=None,
-        resolved_config=cfg.raw,
-    )
     # every replicate runs; a failed one is recorded, and the finished ones
     # are flushed as partials whatever the worker count
     outcomes: dict = {}
@@ -598,33 +610,12 @@ def run_experiment(
     records = [rec for rec in outcomes.values() if not isinstance(rec, BaseException)]
     records.sort(key=lambda rec: rec.get("index", 0))
     failed = sorted(i for i, rec in outcomes.items() if isinstance(rec, BaseException))
-    failure = outcomes[failed[0]] if failed else None
-
-    jsonl_path = os.path.join(out, "replicates.jsonl")
-    csv_path = os.path.join(out, "results.csv")
-    manifest_path = os.path.join(out, "manifest.json")
-
-    if failure is not None:
-        manifest.incomplete = True
-        _write_jsonl(
-            jsonl_path, cfg, records, {}, {"error": str(failure), "failed_replicates": failed}
-        )
-        manifest.finished_at = datetime.now(timezone.utc).isoformat()
-        manifest.output_files = ["replicates.jsonl"]
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest.as_dict(), fh, indent=2, sort_keys=True)
-        raise RunnerFailure(f"replicate {failed[0]} failed: {failure}") from failure
-
-    header, rows, criteria, summary = _SUMMARIZE_PHASE[cfg.kind](cfg, records)
-    _write_csv(csv_path, header, rows, cfg.hash())
-    _write_jsonl(jsonl_path, cfg, records, criteria, summary)
-    manifest.criteria = criteria
-    manifest.passed = all(criteria.values()) if criteria else None
-    manifest.finished_at = datetime.now(timezone.utc).isoformat()
-    manifest.output_files = ["results.csv", "replicates.jsonl"]
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest.as_dict(), fh, indent=2, sort_keys=True)
-    return manifest
+    out = out_dir or cfg.out_dir
+    if not failed:
+        return _write_outputs(cfg, out, indices, records, started_at)
+    failure = outcomes[failed[0]]
+    _write_outputs(cfg, out, indices, records, started_at, {"error": str(failure), "failed_replicates": failed})
+    raise RunnerFailure(f"replicate {failed[0]} failed: {failure}") from failure
 
 
 def _load_jsonl(path) -> tuple[dict, list[dict]]:
@@ -653,40 +644,15 @@ def merge_replicates(paths: list, cfg: ExperimentConfig, out_dir: str) -> RunMan
     if not paths:
         raise ConfigError("nothing to merge")
     all_records: list[dict] = []
-    reference = None
     for path in paths:
         header, records = _load_jsonl(path)
-        if reference is None:
-            reference = header
-            if header["config_hash"] != cfg.hash():
-                raise ConfigError(
-                    f"config hash mismatch: file {header['config_hash']} vs config {cfg.hash()}"
-                )
-        elif header["config_hash"] != reference["config_hash"]:
-            raise ConfigError("partials come from different configs")
+        if header["config_hash"] != cfg.hash():
+            raise ConfigError(
+                f"config hash mismatch: file {header['config_hash']} vs config {cfg.hash()}"
+            )
         all_records.extend(records)
     indices = [rec["index"] for rec in all_records]
     if len(set(indices)) != len(indices):
         raise ConfigError("overlapping replicate indices across partials")
     all_records.sort(key=lambda rec: rec["index"])
-
-    os.makedirs(out_dir, exist_ok=True)
-    header_row, rows, criteria, summary = _SUMMARIZE_PHASE[cfg.kind](cfg, all_records)
-    _write_csv(os.path.join(out_dir, "results.csv"), header_row, rows, cfg.hash())
-    _write_jsonl(os.path.join(out_dir, "replicates.jsonl"), cfg, all_records, criteria, summary)
-    manifest = RunManifest(
-        config_hash=cfg.hash(),
-        code_version=__version__,
-        kind=cfg.kind,
-        master_seed=cfg.seed,
-        replicate_seeds=[_replicate_entropy(cfg, i) for i in sorted(set(indices))],
-        started_at=datetime.now(timezone.utc).isoformat(),
-        finished_at=datetime.now(timezone.utc).isoformat(),
-        criteria=criteria,
-        passed=all(criteria.values()) if criteria else None,
-        resolved_config=cfg.raw,
-        output_files=["results.csv", "replicates.jsonl"],
-    )
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest.as_dict(), fh, indent=2, sort_keys=True)
-    return manifest
+    return _write_outputs(cfg, out_dir, sorted(indices), all_records, _now())

@@ -33,14 +33,6 @@ class EstimateWithError:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "n": self.n,
-            "method": self.method,
-        }
-
 
 def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""

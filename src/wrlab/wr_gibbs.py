@@ -325,6 +325,7 @@ class _WrChain(_BirthDeathChain):
     ):
         super().__init__(params, settings, rng, color_doubled=True)
         self.a = params.a
+        self.boundary = boundary
         self.wired = wired_color(boundary)
         self.xs: list[tuple] = []
         self.cols: list[int] = []
@@ -527,13 +528,7 @@ class _WrChain(_BirthDeathChain):
             self._recolor()
 
     def check_state(self) -> None:
-        conf = self.to_marked_configuration()
-        boundary = (
-            FREE
-            if self.wired is None
-            else (PLUS_WIRED if self.wired == PLUS else MINUS_WIRED)
-        )
-        if not is_viable(conf, self.a, boundary, self.params.window):
+        if not is_viable(self.to_marked_configuration(), self.a, self.boundary, self.params.window):
             raise AssertionError("chain state lost viability")
 
 
@@ -710,28 +705,33 @@ def _delta_statistics(positions: np.ndarray, colors: np.ndarray, delta: Window, 
     return n_plus, n_minus, edges
 
 
+# the consistency check's test level, and its rejection budget per redraw
+_DLR_ALPHA = 0.01
+_DLR_RESAMPLE_ATTEMPTS = 5000
+
+
 def dlr_consistency_check(
     params: WRParams,
     boundary: str,
     delta: Window,
     settings: MCMCSettings,
     seed=0,
-    alpha: float = 0.01,
-    resample_attempts: int = 5000,
 ) -> dict:
     """Conditional-resampling self-consistency of the chain.
 
     For every retained chain state the content of ``delta`` is erased and
     redrawn from the exact conditional law given the outside (rejection with
-    bounded attempts).  If the chain is stationary for the target measure,
-    the paired differences of inside-``delta`` statistics are centered at
-    zero; batch-means z-tests with a Bonferroni correction give the verdict.
+    at most ``_DLR_RESAMPLE_ATTEMPTS`` attempts, else
+    :class:`RejectionBudgetError`).  If the chain is stationary for the
+    target measure, the paired differences of inside-``delta`` statistics
+    are centered at zero; batch-means z-tests at level ``_DLR_ALPHA``
+    (reported as ``"alpha"``), Bonferroni-corrected over the statistics,
+    give the verdict.
     """
     if not params.window.contains_window(delta):
         raise ValueError("delta must lie inside the window")
     r = 2.0 * params.a
-    ss = spawn(seed, 2)
-    chain_seed, resample_root = ss
+    chain_seed, resample_root = spawn(seed, 2)
     resample_rng = as_generator(resample_root)
     stat_names = ("plus_count", "minus_count", "pair_count")
 
@@ -744,7 +744,7 @@ def dlr_consistency_check(
         if len(out_pts):
             near = delta.distance_to_box(out_pts) <= r
             out_pts, out_cols = out_pts[near], out_cols[near]
-        for _ in range(resample_attempts):
+        for _ in range(_DLR_RESAMPLE_ATTEMPTS):
             new = _marked_poisson(params.env, delta, params.z, resample_rng)
             if not is_viable(new, params.a, boundary, params.window):
                 continue
@@ -755,7 +755,7 @@ def dlr_consistency_check(
                 if conflict.any():
                     continue
             return new_pts, new_cols
-        raise RejectionBudgetError(resample_attempts)
+        raise RejectionBudgetError(_DLR_RESAMPLE_ATTEMPTS)
 
     diffs: list[tuple] = []
 
@@ -770,7 +770,7 @@ def dlr_consistency_check(
 
     run_wr_chain(params, boundary, settings, chain_seed, record=record)
 
-    report: dict = {"alpha": alpha, "retained": len(diffs), "statistics": {}}
+    report: dict = {"alpha": _DLR_ALPHA, "retained": len(diffs), "statistics": {}}
     p_values = []
     for i, name in enumerate(stat_names):
         series = [d[i] for d in diffs]
@@ -789,7 +789,7 @@ def dlr_consistency_check(
             "batch_lag1": lag1,
         }
     # Bonferroni across the statistic battery
-    report["rejected"] = bool(min(p_values) < alpha / len(stat_names))
+    report["rejected"] = bool(min(p_values) < _DLR_ALPHA / len(stat_names))
     return report
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -622,7 +623,11 @@ def test_validate_rejects_keys_no_section_reads(tmp_path, capsys, old, new, sect
 @pytest.mark.parametrize("kind", ["dlr-check", "env-validate"])
 def test_validate_rejects_a_z_grid_the_kind_cannot_use(tmp_path, capsys, kind):
     # these kinds run at z_grid[0] only; further values would be ignored
-    body = RC_CHECK.replace("kind = rc-check", f"kind = {kind}").replace("replicates = 2", "runs = 2")
+    body = RC_CHECK.replace("kind = rc-check", f"kind = {kind}")
+    if kind == "dlr-check":
+        body = body.replace("replicates = 2", "runs = 2")
+    else:
+        body = body.split("[mcmc]")[0]  # env-validate runs no chain
     assert main(["validate", "--config", write_config(tmp_path, body, "one.cfg")]) == 0
     body = body.replace("z_grid = 0.5", "z_grid = 0.5 1.0")
     assert main(["validate", "--config", write_config(tmp_path, body)]) == 2
@@ -638,9 +643,75 @@ def test_non_integer_environment_override_is_a_config_error(tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
-def test_non_integer_config_value_is_a_config_error(tmp_path):
+def test_non_integer_config_value_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, SCAN.format(reps="four", off=0))
     assert main(["validate", "--config", path]) == 2
+    assert "[schedule] replicates = 'four'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("seed = 7", "seed = seven", "[experiment] seed = 'seven'"),
+        ("seed = 7", "seed = 7\nworkers = two", "[experiment] workers = 'two'"),
+        ("z0 = 1.0", "z0 = high", "[environment] z0 = 'high'"),
+        ("z0 = 1.0", "z0 = 1.0\nguard_margin = wide", "[environment] guard_margin = 'wide'"),
+        ("a = 0.5", "a = half", "[geometry] a = 'half'"),
+        ("window = 0 0 4 4", "window = 0 0 4 x", "[geometry] window = '0 0 4 x'"),
+        ("z_grid = 0.5", "z_grid = 0.5x", "[schedule] z_grid = '0.5x'"),
+        ("burn_in = 400", "burn_in = 400.5", "[mcmc] burn_in = '400.5'"),
+    ],
+    ids=["seed", "workers", "model-parameter", "guard-margin", "radius", "window", "z-grid", "mcmc"],
+)
+def test_every_unparsable_value_names_its_section_and_key(tmp_path, capsys, old, new, named):
+    assert main(["validate", "--config", write_config(tmp_path, RC_CHECK.replace(old, new))]) == 2
+    assert named in capsys.readouterr().err
+
+
+RC_AS_DLR = RC_CHECK.replace("kind = rc-check", "kind = dlr-check").replace("replicates = 2", "runs = 2")
+RC_AS_ENV = RC_CHECK.replace("kind = rc-check", "kind = env-validate").split("[mcmc]")[0]
+
+
+@pytest.mark.parametrize(
+    "body, old, new, kind, named",
+    [
+        (RC_CHECK, "replicates = 2", "replicates = 2\nruns = 5", "rc-check", "runs"),
+        (RC_CHECK, "replicates = 2", "replicates = 2\nboth_axes = true", "rc-check", "both_axes"),
+        (RC_CHECK, "replicates = 2", "replicates = 2\nL_list = 4 8", "rc-check", "l_list"),
+        (RC_CHECK, "replicates = 2", "replicates = 2\ntau = 0.001", "rc-check", "tau"),
+        (RC_AS_DLR, "runs = 2", "runs = 2\nreplicates = 3", "dlr-check", "replicates"),
+        (RC_AS_ENV, "replicates = 2", "replicates = 2\n[mcmc]\nsweeps = 900", "env-validate", "[mcmc]"),
+        (SCAN.format(reps=2, off=0), "replicates = 2", "replicates = 2\n[mcmc]\nsweeps = 900", "percolation-scan", "[mcmc]"),
+    ],
+    ids=["rc-runs", "rc-both-axes", "rc-L-list", "rc-tau", "dlr-replicates", "env-mcmc", "scan-mcmc"],
+)
+def test_validate_rejects_keys_the_kind_does_not_read(tmp_path, capsys, body, old, new, kind, named):
+    # such a key changes nothing but the config hash, and so every stream
+    assert main(["validate", "--config", write_config(tmp_path, body, "good.cfg")]) == 0
+    assert main(["validate", "--config", write_config(tmp_path, body.replace(old, new))]) == 2
+    err = capsys.readouterr().err
+    assert kind in err and named in err
+
+
+@pytest.mark.parametrize(
+    "campaign, config_hash",
+    [
+        ("VORONOI_SCAN", "d9f107d9d7c4008c"),
+        ("LEBESGUE_SCAN", "a8e4133bbc14e042"),
+        ("ORDER_PARAMETER", "9970341ce2ea35ac"),
+        ("DOMINATION", "321a110ad7847cac"),
+    ],
+)
+def test_benchmark_configs_validate_with_pinned_hashes(tmp_path, monkeypatch, capsys, campaign, config_hash):
+    # the benchmark's campaigns at seed 1: stricter keys must not reject
+    # them (the order-parameter one sets moves_per_sweep, which its block
+    # sampler ignores), and a change to how [mcmc] or [schedule] is read
+    # must not move their hashes
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    text = getattr(workloads, campaign).config_text(1)
+    assert main(["validate", "--config", write_config(tmp_path, text)]) == 0
+    assert capsys.readouterr().out.strip().endswith(f"hash={config_hash}")
 
 
 def test_readme_config_hash_is_pinned(tmp_path):
@@ -666,11 +737,13 @@ def test_delta_size_is_centred_and_delta_must_fit_every_window(tmp_path):
     {geometry}
 
     [schedule]
-    L_list = 4 8
+    {schedule}
     """
 
     def load(kind, geometry, name):
-        return load_config(write_config(tmp_path, base.format(kind=kind, geometry=geometry), name))
+        # only wr-order-parameter reads an L_list here
+        schedule = "L_list = 4 8" if kind == "wr-order-parameter" else "z_grid = 1.0"
+        return load_config(write_config(tmp_path, base.format(kind=kind, geometry=geometry, schedule=schedule), name))
 
     cfg = load("rc-check", "window_size = 8\n    delta_size = 1", "centred.cfg")
     assert cfg.delta.lower.tolist() + cfg.delta.upper.tolist() == [3.5, 3.5, 4.5, 4.5]

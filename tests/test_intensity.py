@@ -78,6 +78,23 @@ def test_realization_determinism():
             assert np.array_equal(a.segments.end, b.segments.end)
 
 
+def test_realization_is_deterministic_in_a_reused_seed_sequence():
+    # a campaign realizes one environment seed on every window of its L_list:
+    # spawning must not advance the SeedSequence, or each call would draw
+    # another tessellation
+    win = Window.cube(8.0, 2)
+    seed = np.random.SeedSequence(2024)
+    for model in (VoronoiEdges(1.0), ManhattanGrid(0.8), ShotNoise(0.5, 0.5, 1.5)):
+        a = realize_environment(model, win, seed=seed)
+        b = realize_environment(model, win, seed=seed)
+        if a.segments is not None:
+            assert np.array_equal(a.segments.start, b.segments.start)
+            assert np.array_equal(a.segments.end, b.segments.end)
+        assert np.array_equal(sample_poisson(a, win, 1.3, seed=5).points, sample_poisson(b, win, 1.3, seed=5).points)
+    fresh = [child.generate_state(2).tolist() for child in np.random.SeedSequence(2024).spawn(3)]
+    assert [child.generate_state(2).tolist() for child in spawn(seed, 3)] == fresh
+
+
 def test_guard_margin_validation():
     with pytest.raises(GuardMarginError):
         realize_environment(HomogeneousLebesgue(1.0), UNIT, guard_margin=0.0)

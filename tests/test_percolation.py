@@ -82,6 +82,24 @@ def test_scan_per_seed_monotone_in_activity():
     assert probs == sorted(probs)
 
 
+@hypothesis_settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from([HomogeneousLebesgue(1.0), VoronoiEdges(1.0)]),
+    zs=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=5, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_axes_indicators_sit_below_axis_zero_and_rise_with_z(model, zs, seed):
+    # on the same seed both scans see the same points and uniforms, and a
+    # crossing along both axes is in particular one along axis 0
+    z_grid = sorted(zs)
+    scan = lambda both: estimate_crossing_probability(
+        model, z_grid, 0.5, 6.0, 3, seed=seed, both_axes=both, return_indicators=True
+    )[1]
+    axis0, both = scan(False), scan(True)
+    assert (both <= axis0).all()
+    assert (np.diff(both.astype(int), axis=1) >= 0).all()
+
+
 def test_crossing_monotone_in_radius():
     rng = np.random.default_rng(2)
     win = Window.cube(6.0, 2)

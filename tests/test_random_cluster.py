@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from wrlab.geometry import Configuration, ConnectivityParams, Window, build_components
-from wrlab.intensity import HomogeneousLebesgue, VoronoiEdges, realize_environment
+from wrlab.intensity import HomogeneousLebesgue, VoronoiEdges, realize_environment, sample_poisson
 from wrlab.random_cluster import (
     _RcChain,
     DominationConfig,
@@ -20,7 +20,7 @@ from wrlab.random_cluster import (
     run_rc_chain,
     sample_rc_by_color_dropping,
 )
-from wrlab.rng import as_generator
+from wrlab.rng import as_generator, spawn
 from wrlab.wr_gibbs import MCMCSettings, WRParams
 
 UNIT = Window.cube(1.0, 2)
@@ -137,6 +137,31 @@ def test_incremental_count_matches_recount_after_every_move(sites, z, seed, move
     for _ in range(moves):
         chain.step()
         assert_count_matches()
+
+
+@hypothesis_settings(max_examples=30, deadline=None)
+@given(z=st.sampled_from([0.5, 1.5, 3.0]), seed=st.integers(0, 2**32 - 1), moves=st.integers(0, 400))
+def test_rebuild_preserves_components_partition_and_touch_counts(z, seed, moves):
+    win = Window.cube(4.0, 2)
+    env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
+    start_seed, chain_seed = spawn(seed, 2)
+    chain = _RcChain(WRParams(a=0.5, z=z, env=env, window=win), MCMCSettings(), as_generator(chain_seed))
+    chain.load(sample_poisson(env, win, z, start_seed))
+    for _ in range(moves):
+        chain.step()  # deaths leave tombstones in the forest
+
+    def snapshot():
+        clusters = {}
+        for i in chain.active:
+            clusters.setdefault(chain.find(i), []).append(i)
+        cells = sorted((sorted(members), chain.touch[root]) for root, members in clusters.items())
+        return chain.wired_components, chain.free_count, chain.touching_count, cells
+
+    before = snapshot()
+    chain.rebuild()
+    assert snapshot() == before
+    assert sorted(chain.parent) == sorted(chain.active)
+    assert chain.wired_components == rc_component_exponent(chain.to_configuration(), 0.5, win) + 1
 
 
 def _point_segment_distances(points, a, b):
