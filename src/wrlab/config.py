@@ -38,6 +38,7 @@ from .intensity import (
     VoronoiEdges,
     check_guard_margin,
 )
+from .random_cluster import resolve_tau
 from .wr_gibbs import MCMCSettings
 
 # the [schedule] keys each kind reads besides z_grid and replicate_offset
@@ -123,6 +124,13 @@ class ExperimentConfig:
 
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def _boolean(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("not one of 1/0, true/false, yes/no")
+    return word in ("1", "true", "yes")
 
 
 def _read(section, name: str, key: str, convert, default=None):
@@ -328,10 +336,15 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     replicate_offset = _read(sched, "schedule", "replicate_offset", int, 0)
     if replicate_offset < 0:
         raise ConfigError("replicate_offset must be >= 0")
-    both_axes = str(sched.get("both_axes", "false")).strip().lower() in ("1", "true", "yes")
+    both_axes = _read(sched, "schedule", "both_axes", _boolean, False)
     runs = _read(sched, "schedule", "runs", int, 20)
     tau = _read(sched, "schedule", "tau", float)
     merge_bound = _read(sched, "schedule", "merge_bound", int)
+    if kind == "domination-check":
+        try:
+            resolve_tau(tau, merge_bound, dim)
+        except ValueError as exc:
+            raise ConfigError(f"[schedule] {exc}") from None
 
     mcmc = parser["mcmc"] if "mcmc" in parser else {}
     given = {key: _read(mcmc, "mcmc", key, int) for key in _SECTION_KEYS["mcmc"] if key in mcmc}

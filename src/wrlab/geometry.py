@@ -302,11 +302,16 @@ def has_crossing(
 
 
 class GridIndex:
-    """Uniform-grid neighbor index for the chain samplers.
+    """Uniform-grid neighbor index: the one place that maps points to cells.
 
-    Cell side equals the interaction radius 2a, so the neighbors of a point
-    always live in the 3^d surrounding cells; insertions and removals are
-    O(1).  Keys are integer cell tuples, values are sets of point ids.
+    Every point within ``cell`` of a query (``<=``, as in
+    :func:`build_components`) lies in the 3^d cells around the query's cell.
+    The stored side is ``cell * (1 + 2^-20)``: with the bare side, rounding
+    in ``(pos - lower) // side`` can put two points exactly ``cell`` apart
+    two cells apart (x = 0.9999999999999994 and 1.9999999999999996 from the
+    corner -5 with side 1 get keys 5 and 7); within about 2^30 cells of zero
+    the rounding stays far below the padding.  Keys are integer cell tuples,
+    values are sets of point ids; updates are O(1).
     """
 
     __slots__ = ("lower", "cell", "dim", "cells")
@@ -315,7 +320,7 @@ class GridIndex:
         if not cell > 0:
             raise ValueError("cell side must be positive")
         self.lower = window.lower.tolist()
-        self.cell = cell
+        self.cell = cell * (1.0 + 2.0**-20)
         self.dim = window.dim
         self.cells: dict[tuple, set] = {}
 

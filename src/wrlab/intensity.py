@@ -29,7 +29,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .geometry import Configuration, Window
+from .geometry import Configuration, GridIndex, Window
 from .rng import UniformBlocks, as_generator, spawn
 
 
@@ -210,7 +210,8 @@ class EnvironmentRealization:
     ``point_density`` is a scalar probe of one planar point, returning the
     same float as ``density_at([pos])[0]``.  Shot-noise and random-set
     realizations in the plane set it: it counts germs within the kernel or
-    grain radius in a germ-cell hash, with the ``<=`` rule of the KD-tree.
+    grain radius in a :class:`~wrlab.geometry.GridIndex` over the germs,
+    with the ``<=`` rule of the KD-tree.
     It does not check the sup bound; the chains' ``thin`` (see
     :func:`dominating_measure`) does.  ``density_at`` keeps the array path.
     """
@@ -274,35 +275,29 @@ def _poisson_points(rng: np.random.Generator, rate: float, window: Window) -> np
     return rng.uniform(window.lower, window.upper, size=(n, window.dim))
 
 
-def _germ_counter(germs: np.ndarray, r: float, origin) -> Callable[[tuple], int]:
+def _germ_counter(germs: np.ndarray, r: float, window: Window) -> Callable[[tuple], int]:
     """Scalar count of planar germs within distance ``r`` (closed) of a point.
 
-    Germs sit in a dict from integer cell to coordinate tuples.  The cell
-    side is a hair above ``r``, so rounding in the keys can never put a germ
-    within ``r`` more than one cell away, and the 3x3 cells around the point
-    hold every germ that counts.  The test ``dx*dx + dy*dy <= r*r`` is the
-    KD-tree's own (squared distance against the squared radius).
+    The germs sit in a :class:`~wrlab.geometry.GridIndex` of radius ``r``
+    over the draw window, so the 3x3 cells around the point hold every germ
+    that counts.  The test ``dx*dx + dy*dy <= r*r`` is the KD-tree's own
+    (squared distance against the squared radius).
     """
-    x0, y0 = (float(v) for v in origin)
-    cell = r * (1.0 + 2.0**-20)
+    coords = germs.tolist()
+    grid = GridIndex(window, r)
+    for i, g in enumerate(coords):
+        grid.add(i, g)
     r2 = r * r
-    cells: dict[tuple[int, int], list] = {}
-    for gx, gy in germs.tolist():
-        cells.setdefault((int((gx - x0) // cell), int((gy - y0) // cell)), []).append((gx, gy))
-    get = cells.get
 
     def count(pos) -> int:
         px, py = pos
-        bx = int((px - x0) // cell)
-        by = int((py - y0) // cell)
         n = 0
-        for ix in (bx - 1, bx, bx + 1):
-            for iy in (by - 1, by, by + 1):
-                for gx, gy in get((ix, iy), ()):
-                    dx = px - gx
-                    dy = py - gy
-                    if dx * dx + dy * dy <= r2:
-                        n += 1
+        for i in grid.nearby(pos):
+            gx, gy = coords[i]
+            dx = px - gx
+            dy = py - gy
+            if dx * dx + dy * dy <= r2:
+                n += 1
         return n
 
     return count
@@ -467,7 +462,7 @@ def realize_environment(
         amp = model.kernel_amplitude
         point_density = None
         if window.dim == 2:
-            count = _germ_counter(germs, r, draw_window.lower)
+            count = _germ_counter(germs, r, draw_window)
             point_density = lambda pos, _amp=float(amp): _amp * count(pos)
         if len(germs) == 0:
             dens = lambda pts: np.zeros(len(np.atleast_2d(pts)))
@@ -500,7 +495,7 @@ def realize_environment(
         lo, hi = model.lambda_outside, model.lambda_inside
         point_density = None
         if window.dim == 2:
-            covered = _germ_counter(germs, model.grain_radius, draw_window.lower)
+            covered = _germ_counter(germs, model.grain_radius, draw_window)
             point_density = lambda pos, _lo=float(lo), _hi=float(hi): _hi if covered(pos) else _lo
         if len(germs) == 0:
             dens = lambda pts, _lo=lo: np.full(len(np.atleast_2d(pts)), _lo)
@@ -656,7 +651,7 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
     two-colored processes with a fair color coin.
 
     ``thin`` probes the realization's scalar ``point_density`` where it has
-    one (one call per birth proposal, no array round trip), else
+    one (one grid lookup per birth proposal, no array round trip), else
     ``density_at``.  Both raise :class:`SupBoundViolation` on a value above
     the sup bound, by the same comparison.  Planar draws take their two
     uniforms x first, then y, as the generic draw does.

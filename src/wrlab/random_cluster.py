@@ -51,10 +51,10 @@ class DominationConfig:
     merge_bound: int
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
         if self.merge_bound < 1:
             raise ValueError("merge_bound must be >= 1")
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError("tau must be in (0, 1]")
         if self.tau > 2.0 ** (-self.merge_bound) + 1e-15:
             raise ValueError(
                 f"tau={self.tau} violates tau <= 2^-{self.merge_bound}; "
@@ -249,27 +249,18 @@ class _RcChain(_BirthDeathChain):
         return parts
 
     def rebuild(self) -> None:
-        """Recompute the whole forest from live points, clearing tombstones."""
+        """Recompute the whole forest from :func:`build_components`'s
+        clusters of the live points, clearing tombstones."""
+        conf = self.to_configuration()
+        labels = build_components(conf, ConnectivityParams(self.params.a), self.params.window).labels
+        parts: dict[int, set] = {}
+        for i, label in zip(self.active, labels.tolist()):
+            parts.setdefault(label, set()).add(i)
         self.parent = {}
         self.size = {}
         self.touch = {}
-        parts: list[set] = []
-        seen: set[int] = set()
-        for i in self.active:
-            if i in seen:
-                continue
-            part = {i}
-            stack = [i]
-            while stack:
-                j = stack.pop()
-                for k in self._neighbors(self.pos[j]):
-                    if k not in part:
-                        part.add(k)
-                        stack.append(k)
-            seen |= part
-            parts.append(part)
         self.free_count = len(parts)
-        self.touching_count = self._regroup(parts)
+        self.touching_count = self._regroup(list(parts.values()))
 
     # -- moves ---------------------------------------------------------------
 
@@ -369,14 +360,8 @@ class _RcChain(_BirthDeathChain):
 
     def load(self, conf: Configuration) -> None:
         for pos in conf.points:
-            p = tuple(float(v) for v in pos)
-            neighbors = self._neighbors(p)
-            roots = {self.find(j) for j in neighbors}
-            tval = self.thin(p) if self.thin is not None else 1.0
-            if tval <= 0.0:
-                raise ValueError(
-                    f"initial point {p} sits where the environment density is zero"
-                )
+            p, tval = self._initial_point(pos)
+            roots = {self.find(j) for j in self._neighbors(p)}
             self._insert(p, roots, self._boundary_near(p), tval)
 
     def check_state(self) -> None:
@@ -476,6 +461,13 @@ def merge_bound_cap(d: int) -> int:
     if d == 2:
         return 6
     raise ValueError("merge bound is implemented for dimensions 1 and 2")
+
+
+def resolve_tau(tau: float | None, merge_bound: int | None, dim: int) -> DominationConfig:
+    """A domination check's thinning; K defaults to ``merge_bound_cap(dim)``
+    and ``tau`` to ``2^-K``.  ``wrlab validate`` and the runner both call it."""
+    k = merge_bound if merge_bound is not None else merge_bound_cap(dim)
+    return DominationConfig(tau if tau is not None else 2.0 ** (-k), k)
 
 
 def estimate_merge_bound(d: int, a: float, probes: int = 100000, seed=0) -> int:

@@ -36,12 +36,11 @@ from .intensity import (
 )
 from .percolation import estimate_crossing_probability, scan_rows, target_reach, threshold_from_rows
 from .random_cluster import (
-    DominationConfig,
     IncreasingStatistic,
     boundary_connected_chain,
     domination_verdict,
     identity_verdict,
-    merge_bound_cap,
+    resolve_tau,
     statistic_chain,
     thinned_poisson_values,
 )
@@ -216,13 +215,13 @@ def _rep_domination_check(cfg: ExperimentConfig, index: int) -> dict:
     seed = _replicate_seed(cfg, index)
     env = _env_for(cfg, cfg.window, index)
     stats = _domination_battery(cfg)
-    tau, merge_bound = _resolve_tau(cfg)
+    dom = resolve_tau(cfg.tau, cfg.merge_bound, cfg.dim)
     draws = max(200, 2000 // max(1, cfg.replicates))
     cells = []
     children = seed.spawn(2 * len(cfg.z_grid))
     for i, z in enumerate(cfg.z_grid):
         params = WRParams(cfg.a, z, env, cfg.window)
-        poisson_values = thinned_poisson_values(params, tau, stats, draws, children[2 * i])
+        poisson_values = thinned_poisson_values(params, dom.tau, stats, draws, children[2 * i])
         rc_means = statistic_chain(params, stats, cfg.settings, children[2 * i + 1])
         cell = {"z": z, "draws": draws, "stats": {}}
         for s in stats:
@@ -234,7 +233,7 @@ def _rep_domination_check(cfg: ExperimentConfig, index: int) -> dict:
                 "rc_se": rc_means[s.name].stderr,
             }
         cells.append(cell)
-    return {"index": index, "tau": tau, "merge_bound": merge_bound, "cells": cells}
+    return {"index": index, "tau": dom.tau, "merge_bound": dom.merge_bound, "cells": cells}
 
 
 def _rep_dlr_check(cfg: ExperimentConfig, index: int) -> dict:
@@ -302,14 +301,6 @@ _REPLICATE_PHASE = {
     "dlr-check": _rep_dlr_check,
     "env-validate": _rep_env_validate,
 }
-
-
-def _resolve_tau(cfg: ExperimentConfig) -> tuple[float, int]:
-    """(tau, merge bound) from config; the bound defaults to the packing cap."""
-    k = cfg.merge_bound if cfg.merge_bound is not None else merge_bound_cap(cfg.dim)
-    tau = cfg.tau if cfg.tau is not None else 2.0 ** (-k)
-    DominationConfig(tau, k)  # validates tau <= 2^-k
-    return tau, k
 
 
 # --------------------------------------------------------------------------

@@ -274,6 +274,14 @@ class _BirthDeathChain:
                 return True
         return False
 
+    def _initial_point(self, pos) -> tuple[tuple, float]:
+        """A loaded point as a tuple, with its positive ``thin`` value."""
+        p = tuple(float(v) for v in pos)
+        tval = self.thin(p) if self.thin is not None else 1.0
+        if tval <= 0.0:
+            raise ValueError(f"initial point {p} sits where the environment density is zero")
+        return p, tval
+
     def _dist2(self, p, q) -> float:
         s = 0.0
         for k in range(self.dim):
@@ -324,7 +332,6 @@ class _WrChain(_BirthDeathChain):
         rng: np.random.Generator,
     ):
         super().__init__(params, settings, rng, color_doubled=True)
-        self.a = params.a
         self.boundary = boundary
         self.wired = wired_color(boundary)
         self.xs: list[tuple] = []
@@ -338,12 +345,7 @@ class _WrChain(_BirthDeathChain):
 
     def load(self, conf: MarkedConfiguration) -> None:
         for pos, c in zip(conf.positions, conf.colors):
-            p = tuple(float(v) for v in pos)
-            tval = self.thin(p) if self.thin is not None else 1.0
-            if tval <= 0.0:
-                raise ValueError(
-                    f"initial point {p} sits where the environment density is zero"
-                )
+            p, tval = self._initial_point(pos)
             self.xs.append(p)
             self.cols.append(int(c))
             self.bnear.append(self._boundary_near(p))
@@ -351,11 +353,7 @@ class _WrChain(_BirthDeathChain):
             self.grid.add(len(self.xs) - 1, p)
 
     def to_marked_configuration(self) -> MarkedConfiguration:
-        if not self.xs:
-            return MarkedConfiguration.empty(self.dim)
-        return MarkedConfiguration(
-            np.array(self.xs, dtype=float), np.array(self.cols, dtype=np.int8)
-        )
+        return MarkedConfiguration(self.positions_array(), self.colors_array())
 
     def positions_array(self) -> np.ndarray:
         if not self.xs:
@@ -383,27 +381,9 @@ class _WrChain(_BirthDeathChain):
             return
         xs, cols = self.xs, self.cols
         r2 = self.r2
-        if self.dim == 2:
-            # grid.nearby inlined: stop at the first conflict, build no list
-            px, py = pos
-            grid = self.grid
-            c = grid.cell
-            bx = int((px - grid.lower[0]) // c)
-            by = int((py - grid.lower[1]) // c)
-            get = grid.cells.get
-            for ix in (bx - 1, bx, bx + 1):
-                for iy in (by - 1, by, by + 1):
-                    for j in get((ix, iy), ()):
-                        if cols[j] != color:
-                            q = xs[j]
-                            dx = px - q[0]
-                            dy = py - q[1]
-                            if dx * dx + dy * dy <= r2:
-                                return
-        else:
-            for j in self.grid.nearby(pos):
-                if cols[j] != color and self._dist2(pos, xs[j]) <= r2:
-                    return
+        for j in self.grid.nearby(pos):
+            if cols[j] != color and self._dist2(pos, xs[j]) <= r2:
+                return
         n = len(xs)
         ratio = self.total / (n + 1)
         tval = 1.0
@@ -473,47 +453,20 @@ class _WrChain(_BirthDeathChain):
         r2 = self.r2
         comp = {seed_idx}
         stack = [seed_idx]
-        if self.dim == 2:
-            # grid.nearby inlined: the same cells in the same order
-            grid = self.grid
-            c = grid.cell
-            gx, gy = grid.lower
-            get = grid.cells.get
-            while stack:
-                px, py = xs[stack.pop()]
-                bx = int((px - gx) // c)
-                by = int((py - gy) // c)
-                for ix in (bx - 1, bx, bx + 1):
-                    for iy in (by - 1, by, by + 1):
-                        for k in get((ix, iy), ()):
-                            if k in comp or cols[k] != color:
-                                continue
-                            q = xs[k]
-                            dx = px - q[0]
-                            dy = py - q[1]
-                            if dx * dx + dy * dy > r2:
-                                continue
-                            if check_boundary and bnear[k]:
-                                return
-                            if len(comp) >= cap:
-                                return
-                            comp.add(k)
-                            stack.append(k)
-        else:
-            nearby = self.grid.nearby
-            while stack:
-                pj = xs[stack.pop()]
-                for k in nearby(pj):
-                    if k in comp or cols[k] != color:
-                        continue
-                    if self._dist2(pj, xs[k]) > r2:
-                        continue
-                    if check_boundary and bnear[k]:
-                        return
-                    if len(comp) >= cap:
-                        return
-                    comp.add(k)
-                    stack.append(k)
+        nearby = self.grid.nearby
+        while stack:
+            pj = xs[stack.pop()]
+            for k in nearby(pj):
+                if k in comp or cols[k] != color:
+                    continue
+                if self._dist2(pj, xs[k]) > r2:
+                    continue
+                if check_boundary and bnear[k]:
+                    return
+                if len(comp) >= cap:
+                    return
+                comp.add(k)
+                stack.append(k)
         for j in comp:
             cols[j] = -color
         self.accepted["recolor"] += 1
@@ -528,7 +481,7 @@ class _WrChain(_BirthDeathChain):
             self._recolor()
 
     def check_state(self) -> None:
-        if not is_viable(self.to_marked_configuration(), self.a, self.boundary, self.params.window):
+        if not is_viable(self.to_marked_configuration(), self.params.a, self.boundary, self.params.window):
             raise AssertionError("chain state lost viability")
 
 

@@ -279,6 +279,73 @@ def test_wr_order_parameter_outputs_are_pinned(tmp_path, body, results_sha, repl
     assert cells and all(-1.0 <= cell["lag1"] <= 1.0 for cell in cells)
 
 
+DLR_RANDOM_SET = """
+[experiment]
+kind = dlr-check
+seed = 5
+
+[environment]
+model = random-set
+lambda_inside = 1.2
+lambda_outside = 0.8
+germ_intensity = 0.5
+grain_radius = 0.5
+
+[geometry]
+dim = 2
+a = 0.5
+window = 0 0 3 3
+delta = 1 1 2 2
+
+[schedule]
+z_grid = 1.0
+runs = 3
+
+[mcmc]
+sweeps = 1100
+burn_in = 200
+thinning = 2
+"""
+
+RC_SHOT_NOISE = (
+    RC_CHECK.replace("model = lebesgue\nz0 = 1.0", "model = shot-noise\npp_intensity = 0.6\nkernel_radius = 0.5\nkernel_amplitude = 2.0")
+    .replace("z_grid = 0.5", "z_grid = 1.5")
+    .replace("replicates = 2", "replicates = 1")
+    .replace("sweeps = 2200\nburn_in = 400", "sweeps = 1200\nburn_in = 200")
+)
+
+
+@pytest.mark.parametrize(
+    "body, config_hash, results_sha, replicates_sha",
+    [
+        (
+            DLR_RANDOM_SET,
+            "05f69e2cf46b3dc8",
+            "93685a5780fe4b9348c02993ed2676f5c2532afeda93cc26d2caa3c77648f5bf",
+            "5aac21cf10c56e9a2eda2c12ecf3857dbc8ad24c8fcdf34b7511d3e54e546ece",
+        ),
+        (
+            RC_SHOT_NOISE,
+            "55d8b32919492614",
+            "bf4a4bb90edf5946c083cbc0854ca0dfe9ea4577b8454659bff091591d132bf6",
+            "fd689afb9cfdffd5472574a15cceee36f6114de1e4fb8f28fd2a80cda12497f4",
+        ),
+    ],
+    ids=["dlr-random-set", "rc-check-shot-noise"],
+)
+def test_single_site_chain_outputs_are_pinned(tmp_path, body, config_hash, results_sha, replicates_sha):
+    # the single-site chains (_WrChain in the DLR check and the colour
+    # dropping, _RcChain in rc-check) with the germ probe and the neighbour
+    # grid, byte for byte; a change that moves them on purpose updates these
+    # digests and says so
+    cfg = load_config(write_config(tmp_path, body))
+    assert cfg.hash() == config_hash
+    out = str(tmp_path / "out")
+    run_experiment(cfg, out)
+    assert digest(f"{out}/results.csv") == results_sha
+    assert digest(f"{out}/replicates.jsonl") == replicates_sha
+
+
 ENV_VALIDATE = """
 [experiment]
 kind = env-validate
@@ -595,6 +662,68 @@ def test_validate_rejects_domination_check_outside_the_plane(tmp_path):
         """,
     )
     assert main(["validate", "--config", path]) == 2
+
+
+DOMINATION_CHECK = """
+[experiment]
+kind = domination-check
+seed = 1
+
+[environment]
+model = lebesgue
+
+[geometry]
+dim = 2
+a = 0.5
+window_size = 5
+
+[schedule]
+z_grid = 0.5 1.5
+replicates = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "schedule, code, out",
+    [
+        ("", 0, "hash=34206bd73c0140b7"),
+        ("tau = 0.015625", 0, "hash=233d1f8f692541d9"),
+        ("merge_bound = 3\ntau = 0.125", 0, "hash=1e7ed127b4a7d4ad"),
+        ("tau = 0.5", 2, "[schedule] tau=0.5 violates tau <= 2^-6"),
+        ("merge_bound = 3\ntau = 0.2", 2, "[schedule] tau=0.2 violates tau <= 2^-3"),
+        ("tau = 0", 2, "[schedule] tau must be in (0, 1]"),
+        ("merge_bound = 0", 2, "[schedule] merge_bound must be >= 1"),
+    ],
+    ids=["default", "tau-at-bound", "bound-and-tau", "tau-above-2^-K", "tau-above-given-bound", "tau-zero", "bound-zero"],
+)
+def test_validate_checks_the_domination_thinning(tmp_path, capsys, schedule, code, out):
+    # a tau the runner would refuse in every replicate fails validation;
+    # valid ones keep their hashes
+    body = DOMINATION_CHECK.replace("replicates = 1", f"replicates = 1\n{schedule}")
+    assert main(["validate", "--config", write_config(tmp_path, body)]) == code
+    captured = capsys.readouterr()
+    assert out in (captured.out if code == 0 else captured.err)
+
+
+@pytest.mark.parametrize(
+    "spelling, code, out",
+    [
+        ("true", 0, "hash=cd641a23991e76bb"),
+        ("YES", 0, "hash=cd641a23991e76bb"),
+        ("1", 0, "hash=cd641a23991e76bb"),
+        ("False", 0, "hash=e8b63f3cf7612e52"),
+        ("no", 0, "hash=e8b63f3cf7612e52"),
+        ("0", 0, "hash=e8b63f3cf7612e52"),
+        ("ture", 2, "[schedule] both_axes = 'ture'"),
+        ("yes please", 2, "[schedule] both_axes = 'yes please'"),
+    ],
+)
+def test_both_axes_is_a_strict_boolean(tmp_path, capsys, spelling, code, out):
+    # the false spellings hash like a config without the key
+    body = VORONOI_SCAN.replace("replicates = 3", f"replicates = 3\nboth_axes = {spelling}")
+    assert main(["validate", "--config", write_config(tmp_path, body)]) == code
+    captured = capsys.readouterr()
+    assert out in (captured.out if code == 0 else captured.err)
 
 
 @pytest.mark.parametrize(

@@ -320,8 +320,64 @@ def test_grid_index_nearby_matches_brute_force(ops, probes):
             gap = max(abs(q[0] - pos[0]), abs(q[1] - pos[1]))
             if gap <= cell:
                 assert idx in near, (idx, q, pos)
-            if gap >= 2 * cell:
+            # the stored side is the nominal cell padded by a hair
+            if gap >= 2 * grid.cell:
                 assert idx not in near, (idx, q, pos)
+
+
+# two points whose computed squared gap is exactly (2a)^2 = 1 with a = 0.5;
+# with an unpadded unit cell from the corner -5 their keys are 5 and 7
+TIE_WINDOW = Window(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
+TIE_PAIR = ((0.9999999999999994, 0.0), (1.9999999999999996, 0.0))
+
+
+def test_grid_index_finds_a_pair_at_exactly_the_radius():
+    p, q = TIE_PAIR
+    assert (q[0] - p[0]) ** 2 == 1.0
+    conf = Configuration(np.array(TIE_PAIR))
+    assert build_components(conf, ConnectivityParams(0.5), TIE_WINDOW).num_components_free == 1
+    grid = GridIndex(TIE_WINDOW, 1.0)
+    grid.add(0, p)
+    assert 0 in grid.nearby(q)
+
+
+def _farthest_within(p: float, cell: float, step: float) -> float:
+    """The float farthest from ``p`` towards ``step`` whose computed
+    ``(q - p) ** 2`` is at most ``cell ** 2`` (bisection: the computed
+    gap grows monotonically with q)."""
+    within, beyond = p, p + 2.0 * step * cell
+    while True:
+        mid = (within + beyond) / 2.0
+        if mid in (within, beyond):
+            return within
+        if (mid - p) ** 2 <= cell * cell:
+            within = mid
+        else:
+            beyond = mid
+
+
+@hypothesis_settings(max_examples=300, deadline=None)
+@given(
+    origin=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+    cell=st.floats(0.01, 5.0),
+    edge=st.integers(-40, 40),
+    ulps=st.integers(1, 4),
+    step=st.sampled_from([1.0, -1.0]),
+)
+def test_grid_index_finds_every_pair_within_the_radius_at_cell_edges(origin, cell, edge, ulps, step):
+    # p sits a few ulps inside a cell edge (below it when q lies above), q
+    # at the farthest float still within the radius: rounding in the keys
+    # must not put them two cells apart
+    lower = np.array(origin)
+    grid = GridIndex(Window(lower, lower + 1.0), cell)
+    x = origin[0] + edge * cell
+    for _ in range(ulps):
+        x = float(np.nextafter(x, -step * np.inf))
+    p = (x, origin[1])
+    q = (_farthest_within(x, cell, step), origin[1])
+    assert (q[0] - p[0]) ** 2 <= cell * cell
+    grid.add(0, p)
+    assert 0 in grid.nearby(q)
 
 
 def test_three_dimensional_components():

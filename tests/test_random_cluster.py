@@ -268,6 +268,16 @@ def test_merge_bound_validates_inputs():
         estimate_merge_bound(2, 0.5, probes=1000)
 
 
+def test_incremental_count_matches_recount_for_a_pair_at_exactly_2a():
+    # computed squared gap exactly (2a)^2, keys two unpadded cells apart
+    win = Window(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
+    env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
+    chain = _RcChain(WRParams(a=0.5, z=1.0, env=env, window=win), MCMCSettings(), as_generator(0))
+    chain.load(Configuration(np.array([[0.9999999999999994, 0.0], [1.9999999999999996, 0.0]])))
+    chain.check_state()
+    assert chain.free_count == 1
+
+
 def test_domination_config_validates_tau():
     with pytest.raises(ValueError):
         DominationConfig(tau=0.5, merge_bound=5)

@@ -8,6 +8,7 @@ from scipy import stats as sps
 from wrlab import wr_gibbs
 from wrlab.geometry import Configuration, GridIndex, Window
 from wrlab.intensity import HomogeneousLebesgue, RandomSetIndicator, realize_environment
+from wrlab.random_cluster import run_rc_chain
 from wrlab.rng import as_generator, spawn
 from wrlab.stats import total_variation
 from wrlab.wr_gibbs import (
@@ -522,3 +523,15 @@ def test_wr_params_validation():
         WRParams(a=1.0, z=-0.5, env=env, window=UNIT)
     with pytest.raises(ValueError):
         WRParams(a=1.0, z=1.0, env=env, window=Window.cube(50.0, 2))
+
+
+def test_both_chains_refuse_an_initial_point_of_zero_density():
+    # no germs: the random-set density is lambda_outside = 0 everywhere
+    env = realize_environment(RandomSetIndicator(1.0, 0.0, 0.0, 0.5), UNIT, seed=0)
+    params = WRParams(a=0.1, z=1.0, env=env, window=UNIT)
+    settings = MCMCSettings(sweeps=10, burn_in=0)
+    point = np.array([[0.5, 0.5]])
+    with pytest.raises(ValueError, match="density is zero"):
+        run_wr_chain(params, FREE, settings, init=MarkedConfiguration(point, np.array([PLUS])))
+    with pytest.raises(ValueError, match="density is zero"):
+        run_rc_chain(params, settings, init=Configuration(point))
