@@ -101,11 +101,18 @@ def has_duplicate_rows(pts: np.ndarray) -> bool:
     finds them (``-0.0 == 0.0``).
 
     A lexicographic sort puts equal rows next to each other, so one
-    comparison of neighbouring rows finds every duplicate.
+    comparison of neighbouring rows finds every duplicate.  Equal rows share
+    their first coordinate, so that sort runs only when a sort of the first
+    column finds a tie, which continuous draws almost never have.  Both are
+    ``np.lexsort``, whose code a process already holds: ``np.sort`` would
+    map about 0.3 MB more.
     """
     if len(pts) < 2:
         return False
     if pts.shape[1]:
+        first = pts[np.lexsort((pts[:, 0],)), 0]
+        if not (first[1:] == first[:-1]).any():
+            return False
         pts = pts[np.lexsort(pts.T[::-1])]
     return bool((pts[1:] == pts[:-1]).all(axis=1).any())
 

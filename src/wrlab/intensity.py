@@ -29,7 +29,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .geometry import Configuration, GridIndex, Window
+from .geometry import Configuration, GridIndex, Window, has_duplicate_rows
 from .rng import UniformBlocks, as_generator, spawn
 
 
@@ -577,45 +577,92 @@ def total_mass(env: EnvironmentRealization, region: Window) -> float:
     return float(env.density_at(pts).sum() * vol)
 
 
-def sample_poisson(
-    env: EnvironmentRealization, window: Window, z: float, seed=0
-) -> Configuration:
-    """Poisson configuration with intensity ``z *`` environment on ``window``.
+def poisson_draw(env: EnvironmentRealization, window: Window, z: float):
+    """Poisson proposal of intensity ``z *`` environment on ``window``:
+    ``draw(rng, admit=None)`` returns the (n, d) points of one draw.
 
-    Absolutely continuous environments go through a dominating homogeneous
-    draw at rate ``z * sup_bound`` thinned by density / sup_bound; segment
-    measures draw a Poisson count per clipped segment, uniform along it.
+    The region check, the count mean and the clipped segment pieces are
+    computed once, here.  Densities draw a dominating homogeneous count at
+    ``z * sup_bound``, the positions, then one uniform per candidate, and
+    keep a candidate where its uniform is at most density / sup_bound.
+    Segment measures draw a count per clipped piece, uniform along it.
+
+    ``admit(points)``, a boolean mask over the candidates, drops candidates
+    before the thinning, so ``density_at`` sees only the admitted ones (and
+    a constant density is never evaluated).  The generator gives the same
+    values either way, and the draw returns the admitted points of
+    ``draw(rng)``, in order.  Only with ``admit`` does the draw check the
+    candidates for duplicates; without it the caller does, as
+    :func:`sample_poisson`'s ``Configuration`` does.
     """
     if z < 0:
         raise ValueError("z must be >= 0")
     _check_region(env, window)
-    rng = as_generator(seed)
     dim = window.dim
+    nothing = np.zeros((0, dim))
+    nothing.flags.writeable = False
+
+    def admitted(pts, admit):
+        if has_duplicate_rows(pts):
+            raise ValueError("duplicate points are not allowed")
+        return np.flatnonzero(admit(pts))
+
     if z == 0.0:
-        return Configuration.empty(dim)
+        return lambda rng, admit=None: nothing
 
     if env.segments is not None:
         p, q, mass = _clipped_segments(env, window)
-        # a count, then that many positions along the piece, piece by piece
-        # (a draw of zero uniforms leaves the generator as it was)
-        ts = [rng.random(rng.poisson(z * m)) for m in mass.tolist()]
-        piece = np.repeat(np.arange(len(ts)), [len(t) for t in ts])
-        if len(piece) == 0:
-            return Configuration.empty(dim)
-        t = np.concatenate(ts)[:, None]
-        return Configuration(p[piece] + t * (q - p)[piece])
+        means = [z * m for m in mass.tolist()]
+        direction = q - p
+
+        def segment_draw(rng, admit=None):
+            # a count, then that many positions along the piece, piece by
+            # piece (a draw of zero uniforms leaves the generator as it was)
+            ts = [rng.random(rng.poisson(m)) for m in means]
+            piece = np.repeat(np.arange(len(ts)), [len(t) for t in ts])
+            if len(piece) == 0:
+                return nothing
+            pts = p[piece] + np.concatenate(ts)[:, None] * direction[piece]
+            return pts if admit is None else pts[admitted(pts, admit)]
+
+        return segment_draw
 
     sup = env.sup_bound
     if sup is None:
         raise ValueError("density realization lacks a sup bound")
     if sup == 0.0:
-        return Configuration.empty(dim)
-    n = rng.poisson(z * sup * window.volume)
-    if n == 0:
-        return Configuration.empty(dim)
-    pts = rng.uniform(window.lower, window.upper, size=(n, dim))
-    keep = rng.random(n) <= env.density_at(pts) / sup
-    return Configuration(pts[keep]) if keep.any() else Configuration.empty(dim)
+        return lambda rng, admit=None: nothing
+    mean = z * sup * window.volume
+    # rng.uniform(lower, upper, size) computes lower + (upper - lower) * u;
+    # spelled out in place, it gives the same values at a quarter of the cost
+    lower, sides = window.lower, window.upper - window.lower
+    constant = env.constant_density is not None
+
+    def density_draw(rng, admit=None):
+        n = rng.poisson(mean)
+        if n == 0:
+            return nothing
+        pts = rng.random((n, dim))
+        pts *= sides
+        pts += lower
+        u = rng.random(n)
+        if admit is not None:
+            keep = admitted(pts, admit)
+            pts, u = pts[keep], u[keep]
+        # a constant density thins by density / sup_bound = 1
+        if constant or len(pts) == 0:
+            return pts
+        return pts[u <= env.density_at(pts) / sup]
+
+    return density_draw
+
+
+def sample_poisson(
+    env: EnvironmentRealization, window: Window, z: float, seed=0
+) -> Configuration:
+    """Poisson configuration with intensity ``z *`` environment on ``window``:
+    one :func:`poisson_draw`, checked once by ``Configuration``."""
+    return Configuration(poisson_draw(env, window, z)(as_generator(seed)))
 
 
 def sample_location(env: EnvironmentRealization, window: Window, seed=0) -> np.ndarray:

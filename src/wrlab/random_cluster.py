@@ -26,7 +26,7 @@ from .geometry import (
     Window,
     build_components,
 )
-from .intensity import sample_poisson
+from .intensity import poisson_draw
 from .rng import as_generator, spawn
 from .stats import EstimateWithError, batch_means, combined_sigma, pool_independent, summarize_replicates
 from .wr_gibbs import (
@@ -604,8 +604,8 @@ def thinned_poisson_values(
     """Each statistic on ``draws`` independent Poisson draws at activity
     ``tau * z`` (one generator for all draws)."""
     rng = as_generator(seed)
-    draw = lambda: sample_poisson(params.env, params.window, tau * params.z, rng)
-    return _evaluate(stats, (draw() for _ in range(draws)))
+    draw = poisson_draw(params.env, params.window, tau * params.z)
+    return _evaluate(stats, (Configuration(draw(rng)) for _ in range(draws)))
 
 
 def statistic_chain(

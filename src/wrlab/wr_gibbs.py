@@ -22,7 +22,7 @@ from scipy import special
 from scipy.spatial import cKDTree
 
 from .geometry import GridIndex, Window, has_duplicate_rows
-from .intensity import EnvironmentRealization, dominating_measure, sample_poisson, total_mass
+from .intensity import EnvironmentRealization, dominating_measure, poisson_draw, sample_poisson, total_mass
 from .rng import UniformBlocks, as_generator, spawn
 from .stats import EstimateWithError, batch_means, pool_independent
 
@@ -508,39 +508,53 @@ def run_wr_chain(
     return records, chain.to_marked_configuration(), info
 
 
+def _squared_distances(diff: np.ndarray) -> np.ndarray:
+    """Squared length of each difference vector (the last axis), summed axis
+    by axis: the rule of :func:`is_viable`'s KD-tree, compared with ``r*r``."""
+    d2 = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        d2 += diff[..., k] * diff[..., k]
+    return d2
+
+
 def _clear_of(cand: np.ndarray, other: np.ndarray, r: float) -> np.ndarray:
     """Mask of the candidates more than ``r`` from every point of ``other``.
 
     The rule is :func:`is_viable`'s: a distance ``<= r`` excludes.  The tree
     only finds each candidate's nearest point; the comparison with ``r`` is
-    made here, on squared distances summed axis by axis.
+    made here, on squared distances.
     """
     keep = np.ones(len(cand), dtype=bool)
     if len(cand) == 0 or len(other) == 0:
         return keep
     _, idx = cKDTree(other).query(cand, distance_upper_bound=2.0 * r)
     near = np.flatnonzero(idx < len(other))
-    diff = cand[near] - other[idx[near]]
-    d2 = diff[:, 0] * diff[:, 0]
-    for k in range(1, diff.shape[1]):
-        d2 += diff[:, k] * diff[:, k]
-    keep[near[d2 <= r * r]] = False
+    keep[near[_squared_distances(cand[near] - other[idx[near]]) <= r * r]] = False
     return keep
 
 
-def _redraw(params: WRParams, color: int, other: np.ndarray, wired: int | None, rng) -> np.ndarray:
+def _redraw(params: WRParams, color: int, other: np.ndarray, wired: int | None, draw, rng) -> np.ndarray:
     """One exact conditional draw of a colour's points given the other colour.
 
-    A Poisson draw at activity ``z`` per unit of environment, kept where it
-    is more than 2a from every ``other`` point and, for the colour opposite
-    to a wired boundary, more than 2a from the boundary.
+    ``draw`` is the chain's :func:`~wrlab.intensity.poisson_draw` at activity
+    ``z``.  Its candidates are admitted where, for the colour opposite to a
+    wired boundary, they are more than 2a from the boundary, and then, of
+    those, where they are more than 2a from every ``other`` point.  The draw
+    thins only the admitted candidates, so the environment density is
+    evaluated after the exclusion; the points are those of thinning first.
     """
     r = 2.0 * params.a
-    cand = sample_poisson(params.env, params.window, params.z, rng).points
-    keep = _clear_of(cand, other, r)
-    if wired == -color:
-        keep &= params.window.boundary_distance(cand) > r
-    return cand[keep]
+    window = params.window
+
+    def admit(cand):
+        if wired != -color:
+            return _clear_of(cand, other, r)
+        keep = window.boundary_distance(cand) > r
+        inside = np.flatnonzero(keep)
+        keep[inside] = _clear_of(cand[inside], other, r)
+        return keep
+
+    return draw(rng, admit)
 
 
 def block_gibbs_counts(
@@ -550,20 +564,23 @@ def block_gibbs_counts(
 
     A sweep redraws each colour once from its exact conditional law given
     the other (:func:`_redraw`; Häggström, van Lieshout & Møller, Bernoulli 5
-    (1999) 641-658).  The chain starts empty and redraws the wired colour
-    first, plus under a free boundary.  Returns the (plus, minus) counts in
-    ``delta`` at every retained sweep, one row each.
+    (1999) 641-658).  Both colours draw from one Poisson proposal, built once
+    per chain (:func:`~wrlab.intensity.poisson_draw`).  The chain starts
+    empty and redraws the wired colour first, plus under a free boundary.
+    Returns the (plus, minus) counts in ``delta`` at every retained sweep,
+    one row each.
     """
     if not params.window.contains_window(delta):
         raise ValueError("delta must lie inside the window")
     rng = as_generator(seed)
+    draw = poisson_draw(params.env, params.window, params.z)
     wired = wired_color(boundary)
     first = MINUS if wired == MINUS else PLUS
     points = {PLUS: np.zeros((0, params.window.dim)), MINUS: np.zeros((0, params.window.dim))}
     counts = []
     for sweep in range(settings.sweeps):
         for color in (first, -first):
-            points[color] = _redraw(params, color, points[-color], wired, rng)
+            points[color] = _redraw(params, color, points[-color], wired, draw, rng)
         if sweep >= settings.burn_in and (sweep - settings.burn_in) % settings.thinning == 0:
             if settings.debug_checks:
                 state = MarkedConfiguration(
@@ -658,6 +675,15 @@ def _delta_statistics(positions: np.ndarray, colors: np.ndarray, delta: Window, 
     return n_plus, n_minus, edges
 
 
+def _opposite_within(pts, cols, other_pts, other_cols, r: float) -> bool:
+    """Whether a point lies within ``r`` of an opposite-coloured ``other``
+    point, by :func:`is_viable`'s rule on squared distances."""
+    if len(pts) == 0 or len(other_pts) == 0:
+        return False
+    d2 = _squared_distances(pts[:, None, :] - other_pts[None, :, :])
+    return bool(((d2 <= r * r) & (cols[:, None] != other_cols[None, :])).any())
+
+
 # the consistency check's test level, and its rejection budget per redraw
 _DLR_ALPHA = 0.01
 _DLR_RESAMPLE_ATTEMPTS = 5000
@@ -702,11 +728,8 @@ def dlr_consistency_check(
             if not is_viable(new, params.a, boundary, params.window):
                 continue
             new_pts, new_cols = new.positions, new.colors
-            if len(new_pts) and len(out_pts):
-                dists = np.linalg.norm(new_pts[:, None, :] - out_pts[None, :, :], axis=2)
-                conflict = (dists <= r) & (new_cols[:, None] != out_cols[None, :])
-                if conflict.any():
-                    continue
+            if _opposite_within(new_pts, new_cols, out_pts, out_cols, r):
+                continue
             return new_pts, new_cols
         raise RejectionBudgetError(_DLR_RESAMPLE_ATTEMPTS)
 

@@ -239,6 +239,141 @@ def test_density_field_thinning_respects_support():
     assert abs(counts.mean() - 2.0) <= 3.0 * se
 
 
+def plain_poisson(env, window, z, rng):
+    """The Poisson law drawn the plain way, all from one call: a count,
+    positions and a thinning uniform for every candidate, then the density
+    of every candidate; segment measures a count and positions piece by
+    piece."""
+    dim = window.dim
+    if z == 0.0:
+        return np.zeros((0, dim))
+    if env.segments is not None:
+        p, q, mass = intensity._clipped_segments(env, window)
+        pts = [
+            start + t * (end - start)
+            for start, end, m in zip(p, q, mass.tolist())
+            for t in rng.random(rng.poisson(z * m))
+        ]
+        return np.reshape(pts, (-1, dim))
+    if env.sup_bound == 0.0:
+        return np.zeros((0, dim))
+    n = rng.poisson(z * env.sup_bound * window.volume)
+    if n == 0:
+        return np.zeros((0, dim))
+    pts = rng.uniform(window.lower, window.upper, size=(n, dim))
+    keep = rng.random(n) <= env.density_at(pts) / env.sup_bound
+    return pts[keep]
+
+
+ALL_MODELS = {
+    "lebesgue": HomogeneousLebesgue(1.3),
+    "density": DensityField(lambda pts: 1.0 + np.sin(pts[:, 0]) * np.cos(pts[:, 1]), sup_bound=2.0),
+    "shot-noise": ShotNoise(0.6, 0.5, 2.0),
+    "random-set": RandomSetIndicator(1.5, 0.5, 0.4, 0.5),
+    "voronoi": VoronoiEdges(1.0),
+    "manhattan": ManhattanGrid(0.7),
+}
+
+
+@hypothesis_settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(sorted(ALL_MODELS)),
+    env_seed=st.integers(0, 2**16),
+    z=st.sampled_from([0.0, 0.3, 1.0, 4.0]),
+    sub=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    slope=st.floats(-3.0, 3.0),
+    offset=st.floats(0.0, 5.0),
+)
+def test_poisson_draw_takes_the_plain_draws_values(model, env_seed, z, sub, seed, slope, offset):
+    # one proposal, built once, gives the plain draw's points from the same
+    # generator state and leaves the generator where the plain draw does;
+    # with an admission mask it returns the admitted plain points, in order
+    win = Window.cube(5.0, 2)
+    env = realize_environment(ALL_MODELS[model], win, seed=env_seed)
+    window = Window(np.array([1.0, 0.5]), np.array([4.0, 3.5])) if sub else win
+    admit = lambda pts: pts[:, 1] > slope * (pts[:, 0] - 2.5) + offset - 1.0
+    draw = intensity.poisson_draw(env, window, z)
+    for _ in range(3):
+        ref_rng = as_generator(seed)
+        ref = plain_poisson(env, window, z, ref_rng)
+        for run, expected in (
+            (lambda rng: sample_poisson(env, window, z, rng).points, ref),
+            (lambda rng: draw(rng), ref),
+            (lambda rng: draw(rng, admit), ref[admit(ref)]),
+        ):
+            rng = as_generator(seed)
+            got = run(rng)
+            assert got.shape[1] == 2
+            assert np.array_equal(got, expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        seed = (seed + 1) % 2**32
+
+
+def test_poisson_draw_thins_admitted_candidates_only():
+    win = Window.cube(5.0, 2)
+    env = realize_environment(ALL_MODELS["random-set"], win, seed=3)
+    honest = EnvironmentRealization.density_at
+    probed, admitted = [], []
+
+    def density_at(self, pts):
+        probed.append(len(pts))
+        return honest(self, pts)
+
+    def left(pts):
+        keep = pts[:, 0] < 1.0
+        admitted.append(int(keep.sum()))
+        return keep
+
+    draw = intensity.poisson_draw(env, win, 2.0)
+    rng = as_generator(8)
+    with mock.patch.object(EnvironmentRealization, "density_at", density_at):
+        kept = [draw(rng, left) for _ in range(20)]
+    assert all((k[:, 0] < 1.0).all() for k in kept)
+    # one density call per draw that admits a candidate, on those only
+    assert sum(admitted) > 0 and probed == [k for k in admitted if k]
+    # a constant density is never evaluated
+    flat = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
+    with mock.patch.object(EnvironmentRealization, "density_at", side_effect=AssertionError):
+        assert len(intensity.poisson_draw(flat, win, 2.0)(as_generator(1), left))
+
+
+class RepeatingGenerator:
+    """Stands in for a generator whose draws repeat a position."""
+
+    def poisson(self, lam):
+        return 2
+
+    def uniform(self, low, high, size):
+        return np.full(size, 1.5)
+
+    def random(self, n):
+        return np.full(n, 0.25)
+
+
+@pytest.mark.parametrize("model", ["lebesgue", "random-set", "manhattan"])
+def test_poisson_draw_checks_every_candidate_for_duplicates(model):
+    win = Window.cube(5.0, 2)
+    env = realize_environment(ALL_MODELS[model], win, seed=2)
+    draw = intensity.poisson_draw(env, win, 1.0)
+    pts = draw(RepeatingGenerator())
+    assert len(pts) >= 2 and (pts[0] == pts[1]).all()
+    # with an admission rule the draw checks the candidates it then drops
+    admit_first = lambda pts: np.arange(len(pts)) == 0
+    with pytest.raises(ValueError, match="duplicate"):
+        draw(RepeatingGenerator(), admit_first)
+
+
+def test_sample_poisson_checks_duplicates_once():
+    env = realize_environment(ALL_MODELS["random-set"], Window.cube(5.0, 2), seed=1)
+    with mock.patch("wrlab.geometry.has_duplicate_rows", wraps=intensity.has_duplicate_rows) as in_geometry, mock.patch(
+        "wrlab.intensity.has_duplicate_rows", wraps=intensity.has_duplicate_rows
+    ) as in_intensity:
+        conf = sample_poisson(env, Window.cube(5.0, 2), 4.0, seed=3)
+    assert len(conf) > 10
+    assert in_geometry.call_count + in_intensity.call_count == 1
+
+
 def test_sup_bound_violation_detected():
     dens = DensityField(lambda pts: np.full(len(pts), 2.0), sup_bound=1.0)
     env = realize_environment(dens, UNIT, seed=0)

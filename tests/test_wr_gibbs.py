@@ -7,7 +7,17 @@ from scipy import stats as sps
 
 from wrlab import wr_gibbs
 from wrlab.geometry import Configuration, GridIndex, Window
-from wrlab.intensity import HomogeneousLebesgue, RandomSetIndicator, realize_environment
+from wrlab.intensity import (
+    DensityField,
+    HomogeneousLebesgue,
+    RandomSetIndicator,
+    ShotNoise,
+    SupBoundViolation,
+    VoronoiEdges,
+    poisson_draw,
+    realize_environment,
+    sample_poisson,
+)
 from wrlab.random_cluster import run_rc_chain
 from wrlab.rng import as_generator, spawn
 from wrlab.stats import total_variation
@@ -340,20 +350,26 @@ def test_block_sampler_count_law_matches_closed_form(monkeypatch):
     settings = MCMCSettings(sweeps=10100, burn_in=100, thinning=1)
     assert block_count_tv(params, settings, seed=41) <= 0.05
 
-    # negative control: the minus half-step drawn at activity 1.5 z
+    # negative control: the minus half-step drawn at activity 1.5 z.  The
+    # chain builds its proposal once, at z, so the corrupted half-step swaps
+    # in a proposal of its own
     honest = wr_gibbs._redraw
+    wrong = poisson_draw(params.env, params.window, 1.5 * params.z)
+    corrupted_steps = []
 
-    def corrupted(params, color, other, wired, rng):
+    def corrupted(params, color, other, wired, draw, rng):
         if color == MINUS:
-            params = WRParams(params.a, 1.5 * params.z, params.env, params.window)
-        return honest(params, color, other, wired, rng)
+            corrupted_steps.append(color)
+            draw = wrong
+        return honest(params, color, other, wired, draw, rng)
 
     monkeypatch.setattr(wr_gibbs, "_redraw", corrupted)
     assert block_count_tv(params, settings, seed=41) > 0.05
+    assert len(corrupted_steps) == settings.sweeps
 
 
 @pytest.mark.parametrize("wired", [PLUS, None])
-def test_block_half_step_excludes_at_exactly_two_radii(monkeypatch, wired):
+def test_block_half_step_excludes_at_exactly_two_radii(wired):
     # a = 0.5 in [0, 6]^2: each pair of candidates below sits at exactly 2a
     # from the plus point (3, 3) or from a face, and one float step farther
     a, win = 0.5, Window.cube(6.0, 2)
@@ -369,9 +385,11 @@ def test_block_half_step_excludes_at_exactly_two_radii(monkeypatch, wired):
     ]
     face = [False, False, True, True]
     cand = np.array([p for pair in point_pairs for p in pair])
-    monkeypatch.setattr(wr_gibbs, "sample_poisson", lambda *args: Configuration(cand))
+    # the proposal returns these candidates, less those the half-step's
+    # admission rule drops
+    fixed_draw = lambda rng, admit: cand[admit(cand)]
     plus = np.array([[3.0, 3.0]])
-    kept = wr_gibbs._redraw(params, MINUS, plus, wired, np.random.default_rng(0))
+    kept = wr_gibbs._redraw(params, MINUS, plus, wired, fixed_draw, np.random.default_rng(0))
     expected = [beyond for _, beyond in point_pairs]
     if wired is None:
         # a free boundary excludes nothing near the faces
@@ -382,6 +400,54 @@ def test_block_half_step_excludes_at_exactly_two_radii(monkeypatch, wired):
     for x in cand:
         state = marked([plus[0], x], [PLUS, MINUS])
         assert is_viable(state, a, boundary, win) == any((kept == x).all(axis=1))
+
+
+def thin_then_exclude(params, color, other, wired, rng):
+    """The half-step the plain way: a thinned Poisson draw, then every
+    candidate within 2a of ``other`` (or, for the colour opposite to a wired
+    boundary, of the boundary) dropped by a brute-force distance test."""
+    r = 2.0 * params.a
+    cand = sample_poisson(params.env, params.window, params.z, rng).points
+    d2 = ((cand[:, None, :] - other[None, :, :]) ** 2).sum(axis=2)
+    keep = (d2 > r * r).all(axis=1)
+    if wired == -color:
+        keep &= params.window.boundary_distance(cand) > r
+    return cand[keep]
+
+
+@pytest.mark.parametrize("boundary", [FREE, PLUS_WIRED, MINUS_WIRED])
+@pytest.mark.parametrize("model", [RandomSetIndicator(1.2, 0.8, 0.5, 0.5), ShotNoise(0.6, 0.5, 2.0), VoronoiEdges(1.0)])
+def test_half_step_thinning_after_exclusion_matches_thinning_first(boundary, model):
+    # the half-step admits candidates before it thins them; on the same
+    # generator state it keeps the points of thinning first, and leaves the
+    # generator where thinning first does
+    win = Window.cube(6.0, 2)
+    env = realize_environment(model, win, seed=6)
+    params = WRParams(a=0.4, z=0.6, env=env, window=win)
+    wired = wired_color(boundary)
+    draw = poisson_draw(env, win, params.z)
+    rng, ref_rng = as_generator(17), as_generator(17)
+    points = {PLUS: np.zeros((0, 2)), MINUS: np.zeros((0, 2))}
+    kept = {PLUS: 0, MINUS: 0}
+    for _ in range(30):
+        for color in (PLUS, MINUS):
+            other = points[-color]
+            expected = thin_then_exclude(params, color, other, wired, ref_rng)
+            points[color] = wr_gibbs._redraw(params, color, other, wired, draw, rng)
+            assert np.array_equal(points[color], expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            kept[color] += len(expected)
+    assert kept[PLUS] and kept[MINUS]
+
+
+def test_block_half_step_detects_an_understated_sup_bound():
+    # negative control: the half-step thins after the exclusion, and still
+    # evaluates every admitted candidate against the declared sup bound
+    win = Window.cube(3.0, 2)
+    understated = DensityField(lambda pts: np.where(pts[:, 0] < 1.5, 1.0, 2.0), sup_bound=1.0)
+    params = WRParams(a=0.5, z=1.0, env=realize_environment(understated, win, seed=0), window=win)
+    with pytest.raises(SupBoundViolation):
+        block_gibbs_counts(params, PLUS_WIRED, MCMCSettings(sweeps=40, burn_in=0), 3, win)
 
 
 @pytest.mark.parametrize("boundary", [FREE, PLUS_WIRED, MINUS_WIRED])
@@ -416,6 +482,30 @@ def test_block_sampler_agrees_with_single_site_chain():
 
 
 # -- conditional-resampling consistency -------------------------------------------
+
+
+def test_dlr_conflict_rule_is_is_viables_at_exactly_two_radii():
+    # pairs at exactly 2a along random directions, and one float step either
+    # side: the redraw's conflict test decides each as is_viable does
+    a = 0.5
+    r = 2.0 * a
+    win = Window.cube(10.0, 2)
+    rng = np.random.default_rng(4)
+    decided, norm_disagrees = 0, 0
+    for _ in range(400):
+        p = rng.uniform(3.0, 7.0, size=2)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        q = p + r * np.array([np.cos(angle), np.sin(angle)])
+        for step in (-np.inf, None, np.inf):
+            x = q if step is None else np.array([np.nextafter(q[0], step), q[1]])
+            conflict = wr_gibbs._opposite_within(x[None, :], np.array([MINUS]), p[None, :], np.array([PLUS]), r)
+            assert conflict == (not is_viable(marked([p, x], [PLUS, MINUS]), a, FREE, win))
+            assert not wr_gibbs._opposite_within(x[None, :], np.array([PLUS]), p[None, :], np.array([PLUS]), r)
+            decided += conflict
+            norm_disagrees += (np.linalg.norm(x - p) <= r) != conflict
+    # both outcomes occur, and the rounded norm the check used to compare
+    # decides some of these pairs the other way
+    assert 0 < decided < 1200 and norm_disagrees > 0
 
 
 def dlr_setup():
