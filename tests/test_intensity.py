@@ -344,11 +344,8 @@ class RepeatingGenerator:
     def poisson(self, lam):
         return 2
 
-    def uniform(self, low, high, size):
-        return np.full(size, 1.5)
-
-    def random(self, n):
-        return np.full(n, 0.25)
+    def random(self, size):
+        return np.full(size, 0.25)
 
 
 @pytest.mark.parametrize("model", ["lebesgue", "random-set", "manhattan"])
