@@ -542,6 +542,13 @@ def _redraw(params: WRParams, color: int, other: np.ndarray, wired: int | None, 
     those, where they are more than 2a from every ``other`` point.  The draw
     thins only the admitted candidates, so the environment density is
     evaluated after the exclusion; the points are those of thinning first.
+
+    The exclusion and the draw's duplicate check thus see every candidate,
+    and the density only the admitted ones.  That order is the cheaper one
+    where the density evaluations the exclusion saves cost more than the
+    exclusion and the check spend on candidates the thinning would have
+    dropped: so on a random set, whose thinning keeps most candidates, but
+    not on a large shot-noise window, whose thinning keeps about one in ten.
     """
     r = 2.0 * params.a
     window = params.window
