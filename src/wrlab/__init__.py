@@ -8,8 +8,8 @@ The package is organized around six parts:
 * :mod:`wrlab.intensity` -- deterministic and random environments,
   Poisson sampling, covariance probes;
 * :mod:`wrlab.wr_gibbs` -- the two-colored measures: viability, exact
-  rejection sampling, the block Gibbs sampler behind the order parameter,
-  the birth-death-recolor chain, conditional-resampling consistency check;
+  rejection sampling, the block Gibbs sampler behind the order parameter
+  and the conditional-resampling consistency check;
 * :mod:`wrlab.random_cluster` -- the component-weighted unmarked model,
   color-dropping coupling, conditional-intensity ratios, merge bounds,
   and the stochastic-domination suite;
@@ -61,7 +61,6 @@ from .wr_gibbs import (
     dlr_consistency_check,
     estimate_order_parameter,
     is_viable,
-    run_wr_chain,
     sample_wr_rejection,
 )
 from .random_cluster import (

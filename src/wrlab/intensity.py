@@ -212,7 +212,7 @@ class EnvironmentRealization:
     realizations in the plane set it: it counts germs within the kernel or
     grain radius in a :class:`~wrlab.geometry.GridIndex` over the germs,
     with the ``<=`` rule of the KD-tree.
-    It does not check the sup bound; the chains' ``thin`` (see
+    It does not check the sup bound; the weighted chain's ``thin`` (see
     :func:`dominating_measure`) does.  ``density_at`` keeps the array path.
     """
 
@@ -592,7 +592,7 @@ def poisson_draw(env: EnvironmentRealization, window: Window, z: float):
     a constant density is never evaluated).  The generator gives the same
     values either way, and the draw returns the admitted points of
     ``draw(rng)``, in order.  Only with ``admit`` does the draw check the
-    candidates for duplicates; without it the caller does, as
+    admitted candidates for duplicates; without it the caller does, as
     :func:`sample_poisson`'s ``Configuration`` does.
     """
     if z < 0:
@@ -603,9 +603,12 @@ def poisson_draw(env: EnvironmentRealization, window: Window, z: float):
     nothing.flags.writeable = False
 
     def admitted(pts, admit):
-        if has_duplicate_rows(pts):
+        # equal candidates share a position and so an admission verdict:
+        # checking the admitted ones covers every point that can be kept
+        keep = np.flatnonzero(admit(pts))
+        if has_duplicate_rows(pts[keep]):
             raise ValueError("duplicate points are not allowed")
-        return np.flatnonzero(admit(pts))
+        return keep
 
     if z == 0.0:
         return lambda rng, admit=None: nothing
@@ -668,8 +671,9 @@ def sample_poisson(
 def sample_location(env: EnvironmentRealization, window: Window, seed=0) -> np.ndarray:
     """One point distributed as environment mass normalized on the window.
 
-    Draws from the chains' birth proposal (:func:`dominating_measure`) and
-    accepts with its thinning factor, so both share one sampler.
+    Draws from the weighted chain's birth proposal
+    (:func:`dominating_measure`) and accepts with its thinning factor, so
+    both share one sampler.
     """
     total, draw, thin = dominating_measure(env, window, 1.0)
     if total == 0.0:
@@ -685,8 +689,9 @@ def sample_location(env: EnvironmentRealization, window: Window, seed=0) -> np.n
     )
 
 
-def dominating_measure(env: EnvironmentRealization, window: Window, z: float, color_doubled: bool = False):
-    """Birth-move reference measure for the chain samplers.
+def dominating_measure(env: EnvironmentRealization, window: Window, z: float):
+    """Birth-move reference measure for the weighted chain and
+    :func:`sample_location`.
 
     Returns ``(total_mass, draw, thin)`` where ``draw(ub)`` proposes a point
     from the normalized reference and ``thin(pos)`` is the density of the
@@ -694,8 +699,7 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
     continuous environments the reference is the dominating homogeneous
     measure at the sup bound, so the total mass is exact and the thinning
     factor enters the acceptance ratio; constant and segment environments
-    have exact mass directly.  ``color_doubled`` doubles the mass for
-    two-colored processes with a fair color coin.
+    have exact mass directly.
 
     ``thin`` probes the realization's scalar ``point_density`` where it has
     one (one grid lookup per birth proposal, no array round trip), else
@@ -704,7 +708,6 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
     uniforms x first, then y, as the generic draw does.
     """
     _check_region(env, window)
-    factor = (2.0 if color_doubled else 1.0) * z
     lo = window.lower.tolist()
     sides = window.sides.tolist()
     dim = window.dim
@@ -722,7 +725,7 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
 
     if env.segments is not None:
         p, q, mass = _clipped_segments(env, window)
-        total = factor * float(sum(mass.tolist()))
+        total = z * float(sum(mass.tolist()))
         if total == 0.0:
             return 0.0, uniform_draw, None
         starts, directions = p.tolist(), (q - p).tolist()
@@ -738,11 +741,11 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float, co
         return total, seg_draw, None
 
     if env.constant_density is not None:
-        total = factor * env.constant_density * window.volume
+        total = z * env.constant_density * window.volume
         return total, uniform_draw, None
 
     sup = env.sup_bound or 0.0
-    total = factor * sup * window.volume
+    total = z * sup * window.volume
     if total == 0.0:
         return 0.0, uniform_draw, None
 

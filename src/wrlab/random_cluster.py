@@ -4,12 +4,13 @@ The model reweights a Poisson configuration by ``2**(C - 1)`` where ``C``
 counts the connected components of the Boolean model with the window boundary
 wired in as a ghost component.  It is sampled two independent ways: a direct
 birth-death chain on the weighted density (this module) and color-dropping
-from the plus-wired two-colored chain; the two samplers cross-validate each
-other.  Both take the two-colored measure's :class:`~wrlab.wr_gibbs.WRParams`
-(ball radius, activity, environment, window).  The conditional-intensity
-ratio ``2**dC / tau`` drives the stochastic domination check: with
-``tau <= 2**(-K)`` for a merge bound ``K`` the ratio never drops below 1, so
-the thinned Poisson process is dominated in every increasing statistic.
+from the plus-wired block Gibbs sampler of the two-colored measure; the two
+samplers cross-validate each other.  Both take the two-colored measure's
+:class:`~wrlab.wr_gibbs.WRParams` (ball radius, activity, environment,
+window).  The conditional-intensity ratio ``2**dC / tau`` drives the
+stochastic domination check: with ``tau <= 2**(-K)`` for a merge bound ``K``
+the ratio never drops below 1, so the thinned Poisson process is dominated
+in every increasing statistic.
 """
 from __future__ import annotations
 
@@ -23,19 +24,19 @@ from scipy.spatial import cKDTree
 from .geometry import (
     Configuration,
     ConnectivityParams,
+    GridIndex,
     Window,
     build_components,
 )
-from .intensity import poisson_draw
-from .rng import as_generator, spawn
+from .intensity import dominating_measure, poisson_draw, total_mass
+from .rng import UniformBlocks, as_generator, spawn
 from .stats import EstimateWithError, batch_means, combined_sigma, pool_independent, summarize_replicates
 from .wr_gibbs import (
     MCMCSettings,
     PLUS_WIRED,
     WRParams,
-    _BirthDeathChain,
+    _block_gibbs_states,
     estimate_order_parameter,
-    run_wr_chain,
 )
 
 # the weighted chain's move mix: a uniform below this proposes a birth,
@@ -90,7 +91,7 @@ def _wired_merge_delta(k_free: int, touching: int, x_touches: bool) -> int:
     return (1 - k_free) - (merged_touch - touching)
 
 
-class _RcChain(_BirthDeathChain):
+class _RcChain:
     """Birth-death chain with an incrementally maintained component count.
 
     Point ids are stable; the union-find forest keeps tombstones for removed
@@ -107,7 +108,22 @@ class _RcChain(_BirthDeathChain):
         settings: MCMCSettings,
         rng: np.random.Generator,
     ):
-        super().__init__(params, settings, rng, color_doubled=False)
+        self.params = params
+        self.settings = settings
+        self.r = 2.0 * params.a
+        self.r2 = self.r * self.r
+        self.dim = params.window.dim
+        self.lo = params.window.lower.tolist()
+        self.hi = params.window.upper.tolist()
+        self.total, self.draw, self.thin = dominating_measure(params.env, params.window, params.z)
+        # sweep length tracks the expected point count, not the dominating
+        # mass (which can be far larger for peaked densities)
+        if self.thin is None:
+            self.sweep_mass = self.total
+        else:
+            self.sweep_mass = params.z * total_mass(params.env, params.window)
+        self.grid = GridIndex(params.window, self.r)
+        self.ub = UniformBlocks(rng)
         self.pos: dict[int, tuple] = {}
         self.active: list[int] = []
         self.slot: dict[int, int] = {}
@@ -131,6 +147,20 @@ class _RcChain(_BirthDeathChain):
     @property
     def wired_components(self) -> int:
         return self.free_count - self.touching_count + 1
+
+    def _boundary_near(self, pos) -> bool:
+        lo, hi, r = self.lo, self.hi, self.r
+        for k in range(self.dim):
+            if pos[k] - lo[k] <= r or hi[k] - pos[k] <= r:
+                return True
+        return False
+
+    def _dist2(self, p, q) -> float:
+        s = 0.0
+        for k in range(self.dim):
+            diff = p[k] - q[k]
+            s += diff * diff
+        return s
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -338,6 +368,36 @@ class _RcChain(_BirthDeathChain):
         else:
             self._death()
 
+    def moves_per_sweep(self) -> int:
+        if self.settings.moves_per_sweep is not None:
+            return self.settings.moves_per_sweep
+        return max(1, int(round(self.sweep_mass)))
+
+    def run(self, record) -> tuple[list, dict]:
+        """Sweep per the settings; ``record(chain)`` at every retained sweep.
+
+        Returns the records and the info dict of move counts.
+        """
+        settings = self.settings
+        moves = self.moves_per_sweep()
+        step = self.step
+        records = []
+        for sweep in range(settings.sweeps):
+            for _ in range(moves):
+                step()
+            if sweep >= settings.burn_in and (sweep - settings.burn_in) % settings.thinning == 0:
+                if settings.debug_checks:
+                    self.check_state()
+                if record is not None:
+                    records.append(record(self))
+        info = {
+            "proposed": dict(self.proposed),
+            "accepted": dict(self.accepted),
+            "moves_per_sweep": moves,
+            "final_n": self.n,
+        }
+        return records, info
+
     # -- views ---------------------------------------------------------------
 
     def to_configuration(self) -> Configuration:
@@ -360,7 +420,10 @@ class _RcChain(_BirthDeathChain):
 
     def load(self, conf: Configuration) -> None:
         for pos in conf.points:
-            p, tval = self._initial_point(pos)
+            p = tuple(float(v) for v in pos)
+            tval = self.thin(p) if self.thin is not None else 1.0
+            if tval <= 0.0:
+                raise ValueError(f"initial point {p} sits where the environment density is zero")
             roots = {self.find(j) for j in self._neighbors(p)}
             self._insert(p, roots, self._boundary_near(p), tval)
 
@@ -396,19 +459,16 @@ def run_rc_chain(
 def sample_rc_by_color_dropping(
     params: WRParams, settings: MCMCSettings, seed=0
 ) -> list[Configuration]:
-    """Positions of the plus-wired two-colored chain, colors dropped.
+    """Positions of the plus-wired block Gibbs sampler at every retained
+    sweep, colors dropped.
 
     The color marginal of the plus-wired two-colored measure is exactly the
     weighted model, so this trace and the direct chain are mutual oracles.
     """
-    records, _, _ = run_wr_chain(
-        params,
-        PLUS_WIRED,
-        settings,
-        seed,
-        record=lambda ch: Configuration(ch.positions_array()),
-    )
-    return records
+    return [
+        Configuration(np.concatenate([plus, minus]))
+        for plus, minus in _block_gibbs_states(params, PLUS_WIRED, settings, seed)
+    ]
 
 
 def papangelou_ratio(

@@ -2,13 +2,12 @@
 
 A marked configuration is viable when opposite-colored points are more than
 2a apart; a wired boundary additionally forbids the opposite color within 2a
-of the window boundary.  Three exact-in-law samplers are provided: plain
-rejection (small mass only), an alternating-colour block Gibbs sampler that
-feeds the order-parameter estimate, and a single-site birth-death-recolor
-Metropolis chain (:func:`run_wr_chain`).  The single-site chain is the block
-sampler's independent oracle, gives more effective samples per second on
-tiny windows, and runs the consistency check against the defining
-conditional-resampling property.
+of the window boundary.  Two exact-in-law samplers are provided: plain
+rejection (small mass only), which is the exact oracle, and an
+alternating-colour block Gibbs sampler.  The block sampler feeds the
+order-parameter estimate, the colour-dropping route to the weighted model
+and the consistency check against the defining conditional-resampling
+property.
 """
 from __future__ import annotations
 
@@ -21,9 +20,9 @@ import numpy as np
 from scipy import special
 from scipy.spatial import cKDTree
 
-from .geometry import GridIndex, Window, has_duplicate_rows
-from .intensity import EnvironmentRealization, dominating_measure, poisson_draw, sample_poisson, total_mass
-from .rng import UniformBlocks, as_generator, spawn
+from .geometry import Window, has_duplicate_rows
+from .intensity import EnvironmentRealization, poisson_draw, sample_poisson
+from .rng import as_generator, spawn
 from .stats import EstimateWithError, batch_means, pool_independent
 
 PLUS = 1
@@ -33,16 +32,6 @@ FREE = "free"
 PLUS_WIRED = "plus-wired"
 MINUS_WIRED = "minus-wired"
 BOUNDARIES = (FREE, PLUS_WIRED, MINUS_WIRED)
-
-# the single-site chain's move mix: a uniform below 0.4 proposes a birth,
-# below 0.8 a death, and otherwise a recolor; births and deaths are equally
-# likely, so their acceptance ratios carry no proposal factor
-_BIRTH_BELOW = 0.4
-_DEATH_BELOW = 0.8
-# the recolor move leaves same-color clusters larger than this alone, which
-# keeps it O(cap) without touching the stationary law (the proposal stays
-# self-inverse)
-_RECOLOR_CLUSTER_CAP = 128
 
 
 def wired_color(boundary: str) -> int | None:
@@ -139,8 +128,9 @@ class MCMCSettings:
     the records are cut into ``batch_count`` batches.  What a sweep is
     depends on the sampler.  In the block Gibbs sampler
     (:func:`block_gibbs_counts`) a sweep redraws both colours once.  In the
-    single-site chains (:func:`run_wr_chain` and the weighted chain) a sweep
-    is ``moves_per_sweep`` elementary moves, by default one per unit of
+    weighted model's single-site chain
+    (:func:`~wrlab.random_cluster.run_rc_chain`) a sweep is
+    ``moves_per_sweep`` birth or death moves, by default one per unit of
     expected mass; the block sampler ignores that setting.
     ``debug_checks`` checks the chain's state at every retained sweep.
     """
@@ -232,282 +222,6 @@ def sample_wr_rejection(
     raise RejectionBudgetError(max_attempts)
 
 
-class _BirthDeathChain:
-    """Set-up and sweep schedule shared by the two-colored and weighted chains.
-
-    Subclasses provide ``step`` (one elementary move), ``check_state`` (the
-    ``debug_checks`` invariant), ``n`` and the ``proposed``/``accepted``
-    move counters.
-    """
-
-    def __init__(
-        self,
-        params: WRParams,
-        settings: MCMCSettings,
-        rng: np.random.Generator,
-        color_doubled: bool,
-    ):
-        self.params = params
-        self.settings = settings
-        self.r = 2.0 * params.a
-        self.r2 = self.r * self.r
-        self.dim = params.window.dim
-        self.lo = params.window.lower.tolist()
-        self.hi = params.window.upper.tolist()
-        self.total, self.draw, self.thin = dominating_measure(
-            params.env, params.window, params.z, color_doubled=color_doubled
-        )
-        # sweep length tracks the expected point count, not the dominating
-        # mass (which can be far larger for peaked densities)
-        if self.thin is None:
-            self.sweep_mass = self.total
-        else:
-            colors = 2.0 if color_doubled else 1.0
-            self.sweep_mass = colors * params.z * total_mass(params.env, params.window)
-        self.grid = GridIndex(params.window, self.r)
-        self.ub = UniformBlocks(rng)
-
-    def _boundary_near(self, pos) -> bool:
-        lo, hi, r = self.lo, self.hi, self.r
-        for k in range(self.dim):
-            if pos[k] - lo[k] <= r or hi[k] - pos[k] <= r:
-                return True
-        return False
-
-    def _initial_point(self, pos) -> tuple[tuple, float]:
-        """A loaded point as a tuple, with its positive ``thin`` value."""
-        p = tuple(float(v) for v in pos)
-        tval = self.thin(p) if self.thin is not None else 1.0
-        if tval <= 0.0:
-            raise ValueError(f"initial point {p} sits where the environment density is zero")
-        return p, tval
-
-    def _dist2(self, p, q) -> float:
-        s = 0.0
-        for k in range(self.dim):
-            diff = p[k] - q[k]
-            s += diff * diff
-        return s
-
-    def moves_per_sweep(self) -> int:
-        if self.settings.moves_per_sweep is not None:
-            return self.settings.moves_per_sweep
-        return max(1, int(round(self.sweep_mass)))
-
-    def run(self, record) -> tuple[list, dict]:
-        """Sweep per the settings; ``record(chain)`` at every retained sweep.
-
-        Returns the records and the info dict of move counts.
-        """
-        settings = self.settings
-        moves = self.moves_per_sweep()
-        step = self.step
-        records = []
-        for sweep in range(settings.sweeps):
-            for _ in range(moves):
-                step()
-            if sweep >= settings.burn_in and (sweep - settings.burn_in) % settings.thinning == 0:
-                if settings.debug_checks:
-                    self.check_state()
-                if record is not None:
-                    records.append(record(self))
-        info = {
-            "proposed": dict(self.proposed),
-            "accepted": dict(self.accepted),
-            "moves_per_sweep": moves,
-            "final_n": self.n,
-        }
-        return records, info
-
-
-class _WrChain(_BirthDeathChain):
-    """Mutable chain state: positions, colors, boundary flags, densities and
-    the grid index."""
-
-    def __init__(
-        self,
-        params: WRParams,
-        boundary: str,
-        settings: MCMCSettings,
-        rng: np.random.Generator,
-    ):
-        super().__init__(params, settings, rng, color_doubled=True)
-        self.boundary = boundary
-        self.wired = wired_color(boundary)
-        self.xs: list[tuple] = []
-        self.cols: list[int] = []
-        self.bnear: list[bool] = []
-        self.tvals: list[float] = []
-        self.accepted = {"birth": 0, "death": 0, "recolor": 0}
-        self.proposed = {"birth": 0, "death": 0, "recolor": 0}
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def load(self, conf: MarkedConfiguration) -> None:
-        for pos, c in zip(conf.positions, conf.colors):
-            p, tval = self._initial_point(pos)
-            self.xs.append(p)
-            self.cols.append(int(c))
-            self.bnear.append(self._boundary_near(p))
-            self.tvals.append(tval)
-            self.grid.add(len(self.xs) - 1, p)
-
-    def to_marked_configuration(self) -> MarkedConfiguration:
-        return MarkedConfiguration(self.positions_array(), self.colors_array())
-
-    def positions_array(self) -> np.ndarray:
-        if not self.xs:
-            return np.zeros((0, self.dim))
-        return np.array(self.xs, dtype=float)
-
-    def colors_array(self) -> np.ndarray:
-        return np.array(self.cols, dtype=np.int8)
-
-    @property
-    def n(self) -> int:
-        return len(self.xs)
-
-    # -- moves -------------------------------------------------------------
-
-    def _birth(self) -> None:
-        self.proposed["birth"] += 1
-        if self.total == 0.0:
-            return
-        ub = self.ub
-        pos = self.draw(ub)
-        color = PLUS if ub.next() < 0.5 else MINUS
-        near = self._boundary_near(pos)
-        if self.wired is not None and color == -self.wired and near:
-            return
-        xs, cols = self.xs, self.cols
-        r2 = self.r2
-        for j in self.grid.nearby(pos):
-            if cols[j] != color and self._dist2(pos, xs[j]) <= r2:
-                return
-        n = len(xs)
-        ratio = self.total / (n + 1)
-        tval = 1.0
-        if self.thin is not None:
-            tval = self.thin(pos)
-            if tval <= 0.0:
-                return
-            ratio *= tval
-        if ratio < 1.0 and ub.next() >= ratio:
-            return
-        xs.append(pos)
-        cols.append(color)
-        self.bnear.append(near)
-        self.tvals.append(tval)
-        self.grid.add(n, pos)
-        self.accepted["birth"] += 1
-
-    def _death(self) -> None:
-        self.proposed["death"] += 1
-        n = len(self.xs)
-        if n == 0:
-            return
-        ub = self.ub
-        victim = ub.next_index(n)
-        ratio = n / self.total
-        if self.thin is not None:
-            ratio /= self.tvals[victim]
-        if ratio < 1.0 and ub.next() >= ratio:
-            return
-        self._remove(victim)
-        self.accepted["death"] += 1
-
-    def _remove(self, victim: int) -> None:
-        xs, cols, bnear, tvals = self.xs, self.cols, self.bnear, self.tvals
-        self.grid.remove(victim, xs[victim])
-        last = len(xs) - 1
-        if victim != last:
-            self.grid.relabel(last, victim, xs[last])
-            xs[victim] = xs[last]
-            cols[victim] = cols[last]
-            bnear[victim] = bnear[last]
-            tvals[victim] = tvals[last]
-        xs.pop()
-        cols.pop()
-        bnear.pop()
-        tvals.pop()
-
-    def _recolor(self) -> None:
-        """Flip the whole same-color cluster of a uniform point.
-
-        Flipping a maximal 2a-connected same-color cluster can never create
-        an opposite-color conflict, so the only veto is the wired boundary
-        clause; clusters above the size cap are left untouched (the reverse
-        move sees the same cluster, so the kernel stays symmetric).
-        """
-        self.proposed["recolor"] += 1
-        n = len(self.xs)
-        if n == 0:
-            return
-        seed_idx = self.ub.next_index(n)
-        color = self.cols[seed_idx]
-        check_boundary = self.wired is not None and color == self.wired
-        if check_boundary and self.bnear[seed_idx]:
-            return
-        cap = _RECOLOR_CLUSTER_CAP
-        xs, cols, bnear = self.xs, self.cols, self.bnear
-        r2 = self.r2
-        comp = {seed_idx}
-        stack = [seed_idx]
-        nearby = self.grid.nearby
-        while stack:
-            pj = xs[stack.pop()]
-            for k in nearby(pj):
-                if k in comp or cols[k] != color:
-                    continue
-                if self._dist2(pj, xs[k]) > r2:
-                    continue
-                if check_boundary and bnear[k]:
-                    return
-                if len(comp) >= cap:
-                    return
-                comp.add(k)
-                stack.append(k)
-        for j in comp:
-            cols[j] = -color
-        self.accepted["recolor"] += 1
-
-    def step(self) -> None:
-        u = self.ub.next()
-        if u < _BIRTH_BELOW:
-            self._birth()
-        elif u < _DEATH_BELOW:
-            self._death()
-        else:
-            self._recolor()
-
-    def check_state(self) -> None:
-        if not is_viable(self.to_marked_configuration(), self.params.a, self.boundary, self.params.window):
-            raise AssertionError("chain state lost viability")
-
-
-def run_wr_chain(
-    params: WRParams,
-    boundary: str,
-    settings: MCMCSettings,
-    seed=0,
-    record=None,
-    init: MarkedConfiguration | None = None,
-):
-    """Run the chain; returns (records, final configuration, info dict).
-
-    ``record(chain)`` is called at every retained sweep; the chain starts
-    from ``init`` (a viable state) or empty.
-    """
-    rng = as_generator(seed)
-    chain = _WrChain(params, boundary, settings, rng)
-    if init is not None:
-        if not is_viable(init, params.a, boundary, params.window):
-            raise ValueError("initial state is not viable")
-        chain.load(init)
-    records, info = chain.run(record)
-    return records, chain.to_marked_configuration(), info
-
-
 def _squared_distances(diff: np.ndarray) -> np.ndarray:
     """Squared length of each difference vector (the last axis), summed axis
     by axis: the rule of :func:`is_viable`'s KD-tree, compared with ``r*r``."""
@@ -543,10 +257,10 @@ def _redraw(params: WRParams, color: int, other: np.ndarray, wired: int | None, 
     thins only the admitted candidates, so the environment density is
     evaluated after the exclusion; the points are those of thinning first.
 
-    The exclusion and the draw's duplicate check thus see every candidate,
-    and the density only the admitted ones.  That order is the cheaper one
-    where the density evaluations the exclusion saves cost more than the
-    exclusion and the check spend on candidates the thinning would have
+    The exclusion thus sees every candidate, and the density and the
+    draw's duplicate check only the admitted ones.  That order is the
+    cheaper one where the density evaluations the exclusion saves cost more
+    than the exclusion spends on candidates the thinning would have
     dropped: so on a random set, whose thinning keeps most candidates, but
     not on a large shot-noise window, whose thinning keeps about one in ten.
     """
@@ -564,9 +278,14 @@ def _redraw(params: WRParams, color: int, other: np.ndarray, wired: int | None, 
     return draw(rng, admit)
 
 
-def block_gibbs_counts(
-    params: WRParams, boundary: str, settings: MCMCSettings, seed, delta: Window
-) -> np.ndarray:
+def _marked(plus: np.ndarray, minus: np.ndarray) -> MarkedConfiguration:
+    """One block sampler state, plus points first."""
+    return MarkedConfiguration(
+        np.concatenate([plus, minus]), np.repeat([PLUS, MINUS], [len(plus), len(minus)])
+    )
+
+
+def _block_gibbs_states(params: WRParams, boundary: str, settings: MCMCSettings, seed):
     """Alternating-colour block Gibbs sampler of the two-coloured measure.
 
     A sweep redraws each colour once from its exact conditional law given
@@ -574,31 +293,36 @@ def block_gibbs_counts(
     (1999) 641-658).  Both colours draw from one Poisson proposal, built once
     per chain (:func:`~wrlab.intensity.poisson_draw`).  The chain starts
     empty and redraws the wired colour first, plus under a free boundary.
-    Returns the (plus, minus) counts in ``delta`` at every retained sweep,
-    one row each.
+    Yields the (plus, minus) point arrays at every retained sweep; the
+    caller must not modify them.
     """
-    if not params.window.contains_window(delta):
-        raise ValueError("delta must lie inside the window")
     rng = as_generator(seed)
     draw = poisson_draw(params.env, params.window, params.z)
     wired = wired_color(boundary)
     first = MINUS if wired == MINUS else PLUS
     points = {PLUS: np.zeros((0, params.window.dim)), MINUS: np.zeros((0, params.window.dim))}
-    counts = []
     for sweep in range(settings.sweeps):
         for color in (first, -first):
             points[color] = _redraw(params, color, points[-color], wired, draw, rng)
         if sweep >= settings.burn_in and (sweep - settings.burn_in) % settings.thinning == 0:
-            if settings.debug_checks:
-                state = MarkedConfiguration(
-                    np.concatenate([points[PLUS], points[MINUS]]),
-                    np.repeat([PLUS, MINUS], [len(points[PLUS]), len(points[MINUS])]),
-                )
-                if not is_viable(state, params.a, boundary, params.window):
-                    raise AssertionError("block sampler state lost viability")
-            counts.append(
-                (int(delta.contains(points[PLUS]).sum()), int(delta.contains(points[MINUS]).sum()))
-            )
+            if settings.debug_checks and not is_viable(
+                _marked(points[PLUS], points[MINUS]), params.a, boundary, params.window
+            ):
+                raise AssertionError("block sampler state lost viability")
+            yield points[PLUS], points[MINUS]
+
+
+def block_gibbs_counts(
+    params: WRParams, boundary: str, settings: MCMCSettings, seed, delta: Window
+) -> np.ndarray:
+    """The (plus, minus) counts in ``delta`` at every retained sweep of the
+    block Gibbs sampler (:func:`_block_gibbs_states`), one row each."""
+    if not params.window.contains_window(delta):
+        raise ValueError("delta must lie inside the window")
+    counts = [
+        (int(delta.contains(plus).sum()), int(delta.contains(minus).sum()))
+        for plus, minus in _block_gibbs_states(params, boundary, settings, seed)
+    ]
     return np.array(counts, dtype=np.int64).reshape(-1, 2)
 
 
@@ -703,11 +427,12 @@ def dlr_consistency_check(
     settings: MCMCSettings,
     seed=0,
 ) -> dict:
-    """Conditional-resampling self-consistency of the chain.
+    """Conditional-resampling self-consistency of the block Gibbs sampler.
 
-    For every retained chain state the content of ``delta`` is erased and
-    redrawn from the exact conditional law given the outside (rejection with
-    at most ``_DLR_RESAMPLE_ATTEMPTS`` attempts, else
+    For every retained state of the sampler (:func:`_block_gibbs_states`)
+    the content of ``delta`` is erased and redrawn from the exact
+    conditional law given the outside (rejection with at most
+    ``_DLR_RESAMPLE_ATTEMPTS`` attempts, else
     :class:`RejectionBudgetError`).  If the chain is stationary for the
     target measure, the paired differences of inside-``delta`` statistics
     are centered at zero; batch-means z-tests at level ``_DLR_ALPHA``
@@ -721,9 +446,7 @@ def dlr_consistency_check(
     resample_rng = as_generator(resample_root)
     stat_names = ("plus_count", "minus_count", "pair_count")
 
-    def resample_inside(chain: _WrChain):
-        positions = chain.positions_array()
-        colors = chain.colors_array()
+    def resample_inside(positions, colors):
         inside = delta.contains(positions) if len(positions) else np.zeros(0, dtype=bool)
         out_pts = positions[~inside]
         out_cols = colors[~inside]
@@ -741,17 +464,11 @@ def dlr_consistency_check(
         raise RejectionBudgetError(_DLR_RESAMPLE_ATTEMPTS)
 
     diffs: list[tuple] = []
-
-    def record(chain: _WrChain):
-        positions = chain.positions_array()
-        colors = chain.colors_array()
-        original = _delta_statistics(positions, colors, delta, r)
-        new_pts, new_cols = resample_inside(chain)
-        resampled = _delta_statistics(new_pts, new_cols, delta, r)
+    for plus, minus in _block_gibbs_states(params, boundary, settings, chain_seed):
+        state = _marked(plus, minus)
+        original = _delta_statistics(state.positions, state.colors, delta, r)
+        resampled = _delta_statistics(*resample_inside(state.positions, state.colors), delta, r)
         diffs.append(tuple(o - s for o, s in zip(original, resampled)))
-        return None
-
-    run_wr_chain(params, boundary, settings, chain_seed, record=record)
 
     report: dict = {"alpha": _DLR_ALPHA, "retained": len(diffs), "statistics": {}}
     p_values = []

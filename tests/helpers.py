@@ -108,15 +108,11 @@ def count_law_monochrome(m: float, top: int) -> np.ndarray:
     return np.array(probs)
 
 
-def scale_wr_chain_activity(monkeypatch, factor: float) -> None:
-    """A corrupted single-site WR chain: its dominating mass, which sets the
-    birth and death ratios, is scaled by ``factor`` after set-up, so the chain
-    targets activity ``factor * z`` with the same proposals and sweep length.
-    The consistency check's negative control."""
-    honest = wr_gibbs._WrChain.__init__
-
-    def corrupted(self, *args, **kwargs):
-        honest(self, *args, **kwargs)
-        self.total *= factor
-
-    monkeypatch.setattr(wr_gibbs._WrChain, "__init__", corrupted)
+def scale_block_sampler_activity(monkeypatch, factor: float) -> None:
+    """A corrupted block Gibbs sampler: every half-step proposes from a
+    Poisson draw at activity ``factor * z``, so the chain targets
+    ``factor * z``, while the consistency check's exact resampling of the
+    count box, which draws through ``intensity``, stays at ``z``.  The
+    consistency check's negative control."""
+    honest = wr_gibbs.poisson_draw
+    monkeypatch.setattr(wr_gibbs, "poisson_draw", lambda env, window, z: honest(env, window, factor * z))

@@ -322,7 +322,7 @@ RC_SHOT_NOISE = (
             DLR_RANDOM_SET,
             "05f69e2cf46b3dc8",
             "93685a5780fe4b9348c02993ed2676f5c2532afeda93cc26d2caa3c77648f5bf",
-            "5aac21cf10c56e9a2eda2c12ecf3857dbc8ad24c8fcdf34b7511d3e54e546ece",
+            "44c853eb4a0db7a4af95d4330f21b5d1a63b2a3f7ef0ebc227f405bf1aa6182f",
         ),
         (
             RC_SHOT_NOISE,
@@ -334,10 +334,10 @@ RC_SHOT_NOISE = (
     ids=["dlr-random-set", "rc-check-shot-noise"],
 )
 def test_single_site_chain_outputs_are_pinned(tmp_path, body, config_hash, results_sha, replicates_sha):
-    # the single-site chains (_WrChain in the DLR check and the colour
-    # dropping, _RcChain in rc-check) with the germ probe and the neighbour
-    # grid, byte for byte; a change that moves them on purpose updates these
-    # digests and says so
+    # the DLR check on the block Gibbs sampler, and the weighted chain
+    # (_RcChain, with the germ probe and the neighbour grid) in rc-check, byte
+    # for byte; a change that moves them on purpose updates these digests
+    # and says so
     cfg = load_config(write_config(tmp_path, body))
     assert cfg.hash() == config_hash
     out = str(tmp_path / "out")

@@ -355,10 +355,13 @@ def test_poisson_draw_checks_every_candidate_for_duplicates(model):
     draw = intensity.poisson_draw(env, win, 1.0)
     pts = draw(RepeatingGenerator())
     assert len(pts) >= 2 and (pts[0] == pts[1]).all()
-    # with an admission rule the draw checks the candidates it then drops
-    admit_first = lambda pts: np.arange(len(pts)) == 0
+    # with an admission rule the draw checks the admitted candidates: equal
+    # candidates are admitted together or dropped together
+    admit_all = lambda pts: np.ones(len(pts), dtype=bool)
     with pytest.raises(ValueError, match="duplicate"):
-        draw(RepeatingGenerator(), admit_first)
+        draw(RepeatingGenerator(), admit_all)
+    drop_all = lambda pts: np.zeros(len(pts), dtype=bool)
+    assert len(draw(RepeatingGenerator(), drop_all)) == 0
 
 
 def test_sample_poisson_checks_duplicates_once():
@@ -531,12 +534,12 @@ def test_environment_dump_jsonl(tmp_path):
 
 def test_dominating_measure_exact_for_constant_and_segments():
     env = realize_environment(HomogeneousLebesgue(2.0), UNIT, seed=0)
-    total, draw, thin = dominating_measure(env, UNIT, 1.5, color_doubled=True)
-    assert total == 2.0 * 1.5 * 2.0
+    total, draw, thin = dominating_measure(env, UNIT, 1.5)
+    assert total == 1.5 * 2.0
     assert thin is None
     win = Window.cube(5.0, 2)
     seg_env = segment_env([[1.0, 1.0]], [[4.0, 1.0]], [2.0], win)
-    total, draw, thin = dominating_measure(seg_env, win, 2.0, color_doubled=False)
+    total, draw, thin = dominating_measure(seg_env, win, 2.0)
     assert abs(total - 12.0) < 1e-12
     assert thin is None
 

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hypothesis_settings, strategies as st
 from scipy import stats as sps
 
 from wrlab import wr_gibbs
-from wrlab.geometry import Configuration, GridIndex, Window
+from wrlab.geometry import Configuration, Window
 from wrlab.intensity import (
     DensityField,
     HomogeneousLebesgue,
@@ -18,9 +17,9 @@ from wrlab.intensity import (
     realize_environment,
     sample_poisson,
 )
-from wrlab.random_cluster import run_rc_chain
+from wrlab.random_cluster import check_es_identity, run_rc_chain
 from wrlab.rng import as_generator, spawn
-from wrlab.stats import total_variation
+from wrlab.stats import batch_means
 from wrlab.wr_gibbs import (
     FREE,
     MINUS,
@@ -31,12 +30,10 @@ from wrlab.wr_gibbs import (
     MarkedConfiguration,
     RejectionBudgetError,
     WRParams,
-    _WrChain,
     block_gibbs_counts,
     dlr_consistency_check,
     estimate_order_parameter,
     is_viable,
-    run_wr_chain,
     sample_wr_rejection,
     wired_color,
 )
@@ -44,9 +41,8 @@ from wrlab.wr_gibbs import (
 from helpers import (
     acceptance_all_plus,
     acceptance_monochrome,
-    count_law_all_plus,
     count_law_monochrome,
-    scale_wr_chain_activity,
+    scale_block_sampler_activity,
 )
 
 UNIT = Window.cube(1.0, 2)
@@ -59,19 +55,6 @@ def unit_params(z, a=2.0):
 
 def marked(points, colors):
     return MarkedConfiguration(np.asarray(points, dtype=float), np.asarray(colors))
-
-
-ONE_MOVE = MCMCSettings(sweeps=1, burn_in=0, thinning=1, moves_per_sweep=1)
-
-
-def box_gap(delta):
-    """Record of ``n_plus - n_minus`` in ``delta``, counted from the state."""
-
-    def record(chain):
-        plus, minus = chain.to_marked_configuration().counts_in(delta)
-        return plus - minus
-
-    return record
 
 
 # -- viability ----------------------------------------------------------------
@@ -207,48 +190,7 @@ def test_free_boundary_law_is_color_flip_invariant():
     assert p > 0.01
 
 
-# -- chain -----------------------------------------------------------------------
-
-
-def test_step_requires_viable_state():
-    params = unit_params(0.5, a=0.4)
-    bad = marked([[0.2, 0.2], [0.3, 0.2]], [PLUS, MINUS])
-    with pytest.raises(ValueError, match="viable"):
-        run_wr_chain(params, FREE, ONE_MOVE, seed=0, init=bad)
-
-
-def test_single_steps_preserve_viability_and_change_little():
-    params = unit_params(1.0, a=0.4)
-    state = MarkedConfiguration.empty(2)
-    for seed in range(200):
-        _, new, _ = run_wr_chain(params, PLUS_WIRED, ONE_MOVE, seed=seed, init=state)
-        assert is_viable(new, params.a, PLUS_WIRED, params.window)
-        assert abs(len(new) - len(state)) <= 1 or len(new) == len(state)
-        state = new
-
-
-def test_chain_emits_only_viable_states_in_debug_runs():
-    win = Window.cube(4.0, 2)
-    env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
-    params = WRParams(a=0.5, z=1.0, env=env, window=win)
-    settings = MCMCSettings(sweeps=300, burn_in=50, thinning=2, debug_checks=True)
-    records, final, _ = run_wr_chain(
-        params, PLUS_WIRED, settings, seed=4, record=lambda ch: ch.n
-    )
-    assert is_viable(final, params.a, PLUS_WIRED, win)
-    assert len(records) == settings.retained
-
-
-def test_chain_count_law_matches_rejection_sampler():
-    # plus-wired, radius above the diameter: accepted law is Poisson(m) all plus
-    m = 0.25
-    params = unit_params(z=m, a=2.0)
-    settings = MCMCSettings(sweeps=8200, burn_in=200, thinning=2, moves_per_sweep=8)
-    records, _, _ = run_wr_chain(params, PLUS_WIRED, settings, seed=3, record=lambda ch: ch.n)
-    law = count_law_all_plus(m, 8)
-    counts = np.bincount(records, minlength=9)[:9]
-    tv = 0.5 * np.abs(counts / counts.sum() - law / law.sum()).sum()
-    assert tv <= 0.05
+# -- order parameter ---------------------------------------------------------------
 
 
 def test_order_parameter_zero_activity_is_exact_zero():
@@ -283,54 +225,9 @@ def test_free_boundary_order_parameter_vanishes():
     params = WRParams(a=0.5, z=1.2, env=env, window=win)
     delta = Window(np.array([0.5, 0.5]), np.array([2.5, 2.5]))
     settings = MCMCSettings(sweeps=3100, burn_in=600, thinning=1)
-    records, _, _ = run_wr_chain(params, FREE, settings, seed=6, record=box_gap(delta))
-    from wrlab.stats import batch_means
-
-    est, _ = batch_means(records, 16)
+    counts = block_gibbs_counts(params, FREE, settings, 6, delta)
+    est, _ = batch_means(counts[:, 0] - counts[:, 1], 16)
     assert abs(est.value) <= 3.0 * max(est.stderr, 1e-4)
-
-
-@hypothesis_settings(max_examples=40, deadline=None)
-@given(
-    sites=st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
-    env_seed=st.integers(0, 2**16),
-    z=st.sampled_from([0.3, 1.0, 4.0]),
-    seed=st.integers(0, 2**32 - 1),
-    moves=st.integers(1, 150),
-)
-def test_bookkeeping_matches_recount_after_every_move(sites, env_seed, z, seed, moves):
-    # a = 0.5 on a 0.5-spaced lattice in [0, 4]^2: lattice points two steps
-    # apart, or one unit from the boundary, sit at exactly 2a
-    a = 0.5
-    win = Window.cube(4.0, 2)
-    env = realize_environment(RandomSetIndicator(1.2, 0.8, 0.5, 0.5), win, seed=env_seed)
-    chain = _WrChain(WRParams(a=a, z=z, env=env, window=win), PLUS_WIRED, MCMCSettings(), as_generator(seed))
-    uniform_draw = chain.draw
-
-    def lattice_draw(ub):
-        # births land on free lattice sites, so ties also arise from moves
-        site = (0.5 * ub.next_index(9), 0.5 * ub.next_index(9))
-        return uniform_draw(ub) if site in chain.xs else site
-
-    chain.draw = lattice_draw
-    start = sorted((0.5 * i, 0.5 * j) for i, j in sites)
-    chain.load(marked(np.reshape(start, (-1, 2)), [PLUS] * len(start)))
-
-    def assert_recount():
-        conf = chain.to_marked_configuration()
-        assert is_viable(conf, a, PLUS_WIRED, win)
-        pts = conf.positions
-        assert chain.tvals == (env.density_at(pts) / env.sup_bound).tolist()
-        assert chain.bnear == (win.boundary_distance(pts) <= 2 * a).tolist()
-        rebuilt = GridIndex(win, 2 * a)
-        for i, pos in enumerate(chain.xs):
-            rebuilt.add(i, pos)
-        assert chain.grid.cells == rebuilt.cells
-
-    assert_recount()
-    for _ in range(moves):
-        chain.step()
-        assert_recount()
 
 
 # -- block Gibbs sampler ---------------------------------------------------------
@@ -466,19 +363,15 @@ def test_block_sampler_keeps_viability(boundary):
         assert wired * gap.mean() > 0
 
 
-def test_block_sampler_agrees_with_single_site_chain():
-    # the single-site chain is the block sampler's independent oracle
+def test_block_sampler_agrees_with_rc_chain_on_a_random_set():
+    # the block psi against the weighted chain's boundary-connected count,
+    # an independent sampler, on a density that is not constant
     win = Window.cube(3.0, 2)
     env = realize_environment(RandomSetIndicator(1.2, 0.8, 0.5, 0.5), win, seed=4)
     params = WRParams(a=0.5, z=1.0, env=env, window=win)
     delta = Window(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
     settings = MCMCSettings(sweeps=3200, burn_in=200, thinning=2)
-    block = estimate_order_parameter(params, delta, settings, replicates=2, seed=51)
-    records, _, _ = run_wr_chain(params, PLUS_WIRED, settings, seed=52, record=box_gap(delta))
-    from wrlab.stats import batch_means
-
-    single, _ = batch_means(records, settings.batch_count)
-    assert abs(block.value - single.value) <= 3.0 * math.hypot(block.stderr, single.stderr)
+    assert check_es_identity(params, delta, settings, replicates=2, seed=51)["pass"]
 
 
 # -- conditional-resampling consistency -------------------------------------------
@@ -532,7 +425,7 @@ def test_dlr_honest_chain_not_rejected():
 
 def test_dlr_corrupted_chain_rejected(monkeypatch):
     params, delta, settings = dlr_setup()
-    scale_wr_chain_activity(monkeypatch, 1.5)
+    scale_block_sampler_activity(monkeypatch, 1.5)
     report = dlr_consistency_check(params, PLUS_WIRED, delta, settings, seed=3)
     assert report["rejected"]
 
@@ -581,8 +474,8 @@ def test_marked_configuration_validation():
 
 
 def test_counts_in_counts_each_color_in_the_closed_box():
-    # the chains' box gap is read from here: the box is closed, as in
-    # Window.contains, and each colour is counted on its own
+    # the box is closed, as in Window.contains, and each colour is counted
+    # on its own
     delta = Window(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
     conf = marked(
         [[1.0, 1.5], [2.0, 2.0], [1.5, 1.5], [np.nextafter(2.0, 3.0), 1.5], [0.5, 0.5], [1.2, 1.9]],
@@ -616,12 +509,10 @@ def test_wr_params_validation():
 
 
 def test_both_chains_refuse_an_initial_point_of_zero_density():
-    # no germs: the random-set density is lambda_outside = 0 everywhere
+    # no germs: the random-set density is lambda_outside = 0 everywhere.  The
+    # block sampler always starts empty; the weighted chain loads a state
     env = realize_environment(RandomSetIndicator(1.0, 0.0, 0.0, 0.5), UNIT, seed=0)
     params = WRParams(a=0.1, z=1.0, env=env, window=UNIT)
     settings = MCMCSettings(sweeps=10, burn_in=0)
-    point = np.array([[0.5, 0.5]])
     with pytest.raises(ValueError, match="density is zero"):
-        run_wr_chain(params, FREE, settings, init=MarkedConfiguration(point, np.array([PLUS])))
-    with pytest.raises(ValueError, match="density is zero"):
-        run_rc_chain(params, settings, init=Configuration(point))
+        run_rc_chain(params, settings, init=Configuration(np.array([[0.5, 0.5]])))
