@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hypothesis_settings, strategies as st
 
+from wrlab.config import default_delta
 from wrlab.geometry import Configuration, ConnectivityParams, Window, build_components
-from wrlab.intensity import HomogeneousLebesgue, VoronoiEdges, realize_environment, sample_poisson
+from wrlab.intensity import HomogeneousLebesgue, ShotNoise, VoronoiEdges, realize_environment, sample_poisson
 from wrlab.random_cluster import (
     _RcChain,
     DominationConfig,
@@ -21,6 +23,8 @@ from wrlab.random_cluster import (
     sample_rc_by_color_dropping,
 )
 from wrlab.rng import as_generator, spawn
+from wrlab.runner import _domination_battery
+from wrlab.stats import batch_means
 from wrlab.wr_gibbs import MCMCSettings, WRParams
 
 UNIT = Window.cube(1.0, 2)
@@ -183,34 +187,32 @@ def test_step_rc_changes_state_by_at_most_one_point():
 
 
 def test_color_dropping_agrees_with_direct_chain():
-    win = Window.cube(4.0, 2)
-    env = realize_environment(HomogeneousLebesgue(1.0), win, seed=0)
-    params = WRParams(a=0.5, z=1.0, env=env, window=win)
-    settings = MCMCSettings(sweeps=5400, burn_in=400, thinning=2)
-    dropped = sample_rc_by_color_dropping(params, settings, seed=8)
-    direct_records, _, _ = run_rc_chain(
-        params, settings, seed=9, record=lambda ch: ch.to_configuration()
-    )
+    # the colour marginal of the plus-wired two-coloured measure is the
+    # weighted model: colour dropping and the direct chain must agree on
+    # every statistic of the domination-check battery, and colour dropping at
+    # 1.2 z must not (the wrong-activity negative control)
+    win = Window.cube(6.0, 2)
+    battery = _domination_battery(SimpleNamespace(window=win, delta=default_delta(win), a=0.5))
+    settings = MCMCSettings(sweeps=480, burn_in=80, thinning=1)
 
-    def bin_counts(confs):
-        grid = np.zeros((len(confs), 9))
-        for i, conf in enumerate(confs):
-            if len(conf) == 0:
-                continue
-            bx = np.minimum((conf.points[:, 0] / win.sides[0] * 3).astype(int), 2)
-            by = np.minimum((conf.points[:, 1] / win.sides[1] * 3).astype(int), 2)
-            grid[i] = np.bincount(bx * 3 + by, minlength=9)
-        return grid
+    def estimates(confs, stats):
+        return {s.name: batch_means([s(c) for c in confs], settings.batch_count)[0] for s in stats}
 
-    ga, gb = bin_counts(dropped), bin_counts(direct_records)
-    for cell in range(9):
-        mean_a, mean_b = ga[:, cell].mean(), gb[:, cell].mean()
-        # conservative: i.i.d. stderr inflated x3 for chain autocorrelation
-        se = 3.0 * math.hypot(
-            ga[:, cell].std(ddof=1) / math.sqrt(len(ga)),
-            gb[:, cell].std(ddof=1) / math.sqrt(len(gb)),
-        )
-        assert abs(mean_a - mean_b) <= 3.0 * max(se, 1e-3), cell
+    seeds = iter(spawn(16, 12))
+    for model in (HomogeneousLebesgue(1.0), ShotNoise(0.6, 0.5, 2.0)):
+        env = realize_environment(model, win, seed=1)
+        for z in (1.0, 2.0):
+            params = WRParams(a=0.5, z=z, env=env, window=win)
+            records, _, _ = run_rc_chain(params, settings, next(seeds), record=lambda ch: ch.to_configuration())
+            direct = estimates(records, battery)
+            dropped = estimates(sample_rc_by_color_dropping(params, settings, next(seeds)), battery)
+            for s in battery:
+                a, b = direct[s.name], dropped[s.name]
+                assert abs(a.value - b.value) <= 3.0 * math.hypot(a.stderr, b.stderr), (model, z, s.name, a, b)
+            wrong_params = WRParams(a=0.5, z=1.2 * z, env=env, window=win)
+            wrong = estimates(sample_rc_by_color_dropping(wrong_params, settings, next(seeds)), battery[:1])
+            a, b = direct["total_count"], wrong["total_count"]
+            assert abs(a.value - b.value) > 3.0 * math.hypot(a.stderr, b.stderr), (model, z, a, b)
 
 
 # -- conditional intensity ---------------------------------------------------------
