@@ -43,7 +43,6 @@ from .intensity import (
     VoronoiEdges,
     covariance_decay_probe,
     realize_environment,
-    sample_location,
     sample_poisson,
     total_mass,
 )
@@ -70,7 +69,6 @@ from .random_cluster import (
     check_es_identity,
     estimate_merge_bound,
     merge_bound_cap,
-    papangelou_ratio,
     papangelou_ratio_batch,
     rc_component_exponent,
     run_rc_chain,

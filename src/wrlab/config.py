@@ -8,7 +8,8 @@ no wall-clock seeding anywhere.  Sections mirror the run structure::
     [geometry]          dim, a, window or window_size, delta or delta_size
     [schedule]          z_grid, replicate_offset, and the kind's own keys:
                         L_list, replicates, both_axes, runs, tau, merge_bound
-    [mcmc]              the fields of MCMCSettings but debug_checks
+    [mcmc]              the fields of MCMCSettings but debug_checks, and
+                        in domination-check and dlr-check not moves_per_sweep
 
 A section holds only the keys its kind reads, ``[environment]`` only the
 parameters of its model, and a kind that runs no chain takes no
@@ -53,6 +54,10 @@ _SCHEDULE_KEYS = {
 EXPERIMENT_KINDS = tuple(_SCHEDULE_KEYS)
 # kinds that run no chain, and so take no [mcmc] section
 _CHAINLESS_KINDS = ("percolation-scan", "env-validate")
+# kinds whose samplers read no moves_per_sweep: only rc-check's weighted
+# chain does.  wr-order-parameter reads none either but still takes the key,
+# which the benchmark's order-parameter config sets
+_NO_MOVES_PER_SWEEP_KINDS = ("domination-check", "dlr-check")
 
 # each model reads its dataclass fields from [environment]
 _MODELS = {
@@ -255,6 +260,8 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     for name in ("geometry", "schedule", "mcmc"):
         if name in parser:
             allowed = _SECTION_KEYS[name] + (_SCHEDULE_KEYS[kind] if name == "schedule" else ())
+            if name == "mcmc" and kind in _NO_MOVES_PER_SWEEP_KINDS:
+                allowed = tuple(key for key in allowed if key != "moves_per_sweep")
             _check_keys(name, parser[name], allowed, kind)
     if "seed" not in exp:
         raise ConfigError("a master seed is mandatory (no wall-clock seeding)")

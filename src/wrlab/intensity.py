@@ -21,7 +21,6 @@ flows through explicit seeds.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -30,7 +29,7 @@ import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from .geometry import Configuration, GridIndex, Window, has_duplicate_rows
-from .rng import UniformBlocks, as_generator, spawn
+from .rng import as_generator, spawn
 
 
 @dataclass(frozen=True)
@@ -668,30 +667,8 @@ def sample_poisson(
     return Configuration(poisson_draw(env, window, z)(as_generator(seed)))
 
 
-def sample_location(env: EnvironmentRealization, window: Window, seed=0) -> np.ndarray:
-    """One point distributed as environment mass normalized on the window.
-
-    Draws from the weighted chain's birth proposal
-    (:func:`dominating_measure`) and accepts with its thinning factor, so
-    both share one sampler.
-    """
-    total, draw, thin = dominating_measure(env, window, 1.0)
-    if total == 0.0:
-        raise ValueError("environment has zero total mass on the window")
-    ub = UniformBlocks(as_generator(seed), block=64)
-    for _ in range(100000):
-        pos = draw(ub)
-        if thin is None or ub.next() <= thin(pos):
-            return np.asarray(pos)
-    raise RuntimeError(
-        "location rejection budget exhausted; environment mass on the "
-        "window may be zero or extremely sparse"
-    )
-
-
 def dominating_measure(env: EnvironmentRealization, window: Window, z: float):
-    """Birth-move reference measure for the weighted chain and
-    :func:`sample_location`.
+    """Birth-move reference measure for the weighted chain.
 
     Returns ``(total_mass, draw, thin)`` where ``draw(ub)`` proposes a point
     from the normalized reference and ``thin(pos)`` is the density of the
@@ -809,24 +786,3 @@ def covariance_decay_probe(
             {"separation": s, "covariance": cov, "stderr": se, "replicates": replicates}
         )
     return out
-
-
-def dump_environment_jsonl(
-    env: EnvironmentRealization, path, region: Window | None = None, cell: float | None = None
-) -> None:
-    """Debug dump: segments, or a density snapshot on a midpoint grid."""
-    region = region or env.guard_window
-    with open(path, "w") as fh:
-        if env.segments is not None:
-            segments = env.segments
-            for start, end, w in zip(
-                segments.start.tolist(), segments.end.tolist(), segments.linear_density.tolist()
-            ):
-                rec = {"record": "segment", "start": start, "end": end, "linear_density": w}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        else:
-            pts, vol = _midpoint_grid(region, cell or env.grid_hint)
-            vals = env.density_at(pts)
-            for pt, val in zip(pts, vals):
-                rec = {"record": "density", "point": pt.tolist(), "value": float(val), "cell_volume": vol}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -2,10 +2,14 @@
 
 The model reweights a Poisson configuration by ``2**(C - 1)`` where ``C``
 counts the connected components of the Boolean model with the window boundary
-wired in as a ghost component.  It is sampled two independent ways: a direct
-birth-death chain on the weighted density (this module) and color-dropping
-from the plus-wired block Gibbs sampler of the two-colored measure; the two
-samplers cross-validate each other.  Both take the two-colored measure's
+wired in as a ghost component.  It is exactly the colour marginal of the
+plus-wired two-coloured measure (Chayes, Chayes & Kotecký, CMP 172 (1995)
+551-569), so it is sampled by colour dropping from the plus-wired block Gibbs
+sampler (:func:`sample_rc_by_color_dropping`); that sampler runs the
+domination check.  A direct birth-death chain on the weighted density
+(:func:`run_rc_chain`) is the independent oracle: it gives the
+boundary-connected side of the two-sampler identity, and the tests hold
+colour dropping against it.  Both take the two-colored measure's
 :class:`~wrlab.wr_gibbs.WRParams` (ball radius, activity, environment,
 window).  The conditional-intensity ratio ``2**dC / tau`` drives the
 stochastic domination check: with ``tau <= 2**(-K)`` for a merge bound ``K``
@@ -445,7 +449,11 @@ def run_rc_chain(
     record=None,
     init: Configuration | None = None,
 ):
-    """Run the direct chain; returns (records, final configuration, info)."""
+    """Run the direct chain; returns (records, final configuration, info).
+
+    The independent sampler of the weighted model behind
+    :func:`boundary_connected_chain`, and the oracle of colour dropping.
+    """
     rng = as_generator(seed)
     chain = _RcChain(params, settings, rng)
     if init is not None:
@@ -463,20 +471,13 @@ def sample_rc_by_color_dropping(
     sweep, colors dropped.
 
     The color marginal of the plus-wired two-colored measure is exactly the
-    weighted model, so this trace and the direct chain are mutual oracles.
+    weighted model.  This is the weighted model's sampler in the domination
+    check; the direct chain (:func:`run_rc_chain`) is its oracle.
     """
     return [
         Configuration(np.concatenate([plus, minus]))
         for plus, minus in _block_gibbs_states(params, PLUS_WIRED, settings, seed)
     ]
-
-
-def papangelou_ratio(
-    x, conf: Configuration, dom: DominationConfig, a: float, window: Window
-) -> float:
-    """Conditional intensity ``2**dC / tau`` of the weighted model at x."""
-    ratios = papangelou_ratio_batch(np.asarray(x, dtype=float)[None, :], conf, dom, a, window)
-    return float(ratios[0])
 
 
 def papangelou_ratio_batch(
@@ -670,14 +671,13 @@ def thinned_poisson_values(
 
 def statistic_chain(
     params: WRParams, stats: list[IncreasingStatistic], settings: MCMCSettings, seed
-) -> dict[str, EstimateWithError]:
-    """One weighted chain: the batch-means estimate of each statistic over
-    the retained configurations."""
-    records, _, _ = run_rc_chain(
-        params, settings, seed, record=lambda ch: ch.to_configuration()
-    )
-    values = _evaluate(stats, records)
-    return {s.name: batch_means(values[s.name], settings.batch_count)[0] for s in stats}
+) -> dict[str, tuple[EstimateWithError, float]]:
+    """One colour-dropping chain of the weighted model
+    (:func:`sample_rc_by_color_dropping`): each statistic's batch-means
+    estimate over the retained configurations, with the lag-1
+    autocorrelation of its batch series."""
+    values = _evaluate(stats, sample_rc_by_color_dropping(params, settings, seed))
+    return {s.name: batch_means(values[s.name], settings.batch_count) for s in stats}
 
 
 def identity_verdict(psi: EstimateWithError, nb: EstimateWithError) -> tuple[float, bool]:
@@ -754,8 +754,9 @@ def check_domination(
     """Thinned-Poisson means must not exceed weighted-model means.
 
     The left side is sampled exactly (independent Poisson draws at activity
-    ``tau * z``); the right side runs the direct chain.  Passing means every
-    increasing statistic satisfies ``poisson <= chain + 3 combined stderr``.
+    ``tau * z``); the right side runs ``replicates`` colour-dropping chains
+    (:func:`statistic_chain`).  Passing means every increasing statistic
+    satisfies ``poisson <= chain + 3 combined stderr``.
     """
     if dom.tau > 2.0 ** (-dom.merge_bound) + 1e-15:
         raise ValueError("tau violates the merge bound; refusing to run")
@@ -769,7 +770,7 @@ def check_domination(
     report = {"tau": dom.tau, "merge_bound": dom.merge_bound, "statistics": {}, "pass": True}
     for s in stats:
         left = summarize_replicates(poisson_values[s.name])
-        right = pool_independent([means[s.name] for means in chain_means])
+        right = pool_independent([means[s.name][0] for means in chain_means])
         margin, ok = domination_verdict(left, right)
         report["statistics"][s.name] = {
             "poisson": asdict(left),

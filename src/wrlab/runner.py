@@ -226,11 +226,13 @@ def _rep_domination_check(cfg: ExperimentConfig, index: int) -> dict:
         cell = {"z": z, "draws": draws, "stats": {}}
         for s in stats:
             pv = poisson_values[s.name]
+            rc, rc_lag1 = rc_means[s.name]
             cell["stats"][s.name] = {
                 "poisson_mean": float(np.mean(pv)),
                 "poisson_sq": float(np.mean(np.square(pv))),
-                "rc_value": rc_means[s.name].value,
-                "rc_se": rc_means[s.name].stderr,
+                "rc_value": rc.value,
+                "rc_se": rc.stderr,
+                "rc_lag1": rc_lag1,
             }
         cells.append(cell)
     return {"index": index, "tau": dom.tau, "merge_bound": dom.merge_bound, "cells": cells}

@@ -11,7 +11,6 @@ property.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -89,18 +88,6 @@ class MarkedConfiguration:
     def n_minus(self) -> int:
         return int((self.colors == MINUS).sum())
 
-    def counts_in(self, delta: Window) -> tuple[int, int]:
-        """(plus, minus) counts inside a box."""
-        if len(self) == 0:
-            return 0, 0
-        inside = delta.contains(self.positions)
-        return int((inside & (self.colors == PLUS)).sum()), int(
-            (inside & (self.colors == MINUS)).sum()
-        )
-
-    def flipped(self) -> "MarkedConfiguration":
-        return MarkedConfiguration(self.positions, -self.colors)
-
 
 @dataclass(frozen=True)
 class WRParams:
@@ -129,9 +116,10 @@ class MCMCSettings:
     depends on the sampler.  In the block Gibbs sampler
     (:func:`block_gibbs_counts`) a sweep redraws both colours once.  In the
     weighted model's single-site chain
-    (:func:`~wrlab.random_cluster.run_rc_chain`) a sweep is
-    ``moves_per_sweep`` birth or death moves, by default one per unit of
-    expected mass; the block sampler ignores that setting.
+    (:func:`~wrlab.random_cluster.run_rc_chain`), which only the
+    boundary-connected side of ``rc-check`` and the identity check run, a
+    sweep is ``moves_per_sweep`` birth or death moves, by default one per
+    unit of expected mass; the block sampler ignores that setting.
     ``debug_checks`` checks the chain's state at every retained sweep.
     """
 
@@ -491,16 +479,3 @@ def dlr_consistency_check(
     # Bonferroni across the statistic battery
     report["rejected"] = bool(min(p_values) < _DLR_ALPHA / len(stat_names))
     return report
-
-
-def write_trace_jsonl(states, path, sweep_indices=None) -> None:
-    """One JSON record per retained state: sweep index and colored points."""
-    if sweep_indices is None:
-        sweep_indices = range(len(states))
-    with open(path, "w") as fh:
-        for sweep, conf in zip(sweep_indices, states):
-            points = [
-                [float(x) for x in pos] + ["plus" if c == PLUS else "minus"]
-                for pos, c in zip(conf.positions, conf.colors)
-            ]
-            fh.write(json.dumps({"sweep": int(sweep), "points": points}) + "\n")

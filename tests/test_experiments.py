@@ -799,6 +799,7 @@ def test_every_unparsable_value_names_its_section_and_key(tmp_path, capsys, old,
 
 RC_AS_DLR = RC_CHECK.replace("kind = rc-check", "kind = dlr-check").replace("replicates = 2", "runs = 2")
 RC_AS_ENV = RC_CHECK.replace("kind = rc-check", "kind = env-validate").split("[mcmc]")[0]
+RC_AS_DOM = RC_CHECK.replace("kind = rc-check", "kind = domination-check")
 
 
 @pytest.mark.parametrize(
@@ -811,8 +812,14 @@ RC_AS_ENV = RC_CHECK.replace("kind = rc-check", "kind = env-validate").split("[m
         (RC_AS_DLR, "runs = 2", "runs = 2\nreplicates = 3", "dlr-check", "replicates"),
         (RC_AS_ENV, "replicates = 2", "replicates = 2\n[mcmc]\nsweeps = 900", "env-validate", "[mcmc]"),
         (SCAN.format(reps=2, off=0), "replicates = 2", "replicates = 2\n[mcmc]\nsweeps = 900", "percolation-scan", "[mcmc]"),
+        # only rc-check's weighted chain reads moves_per_sweep
+        (RC_AS_DOM, "thinning = 2", "thinning = 2\nmoves_per_sweep = 400", "domination-check", "moves_per_sweep"),
+        (RC_AS_DLR, "thinning = 2", "thinning = 2\nmoves_per_sweep = 400", "dlr-check", "moves_per_sweep"),
     ],
-    ids=["rc-runs", "rc-both-axes", "rc-L-list", "rc-tau", "dlr-replicates", "env-mcmc", "scan-mcmc"],
+    ids=[
+        "rc-runs", "rc-both-axes", "rc-L-list", "rc-tau", "dlr-replicates", "env-mcmc", "scan-mcmc",
+        "dom-moves-per-sweep", "dlr-moves-per-sweep",
+    ],
 )
 def test_validate_rejects_keys_the_kind_does_not_read(tmp_path, capsys, body, old, new, kind, named):
     # such a key changes nothing but the config hash, and so every stream
@@ -820,6 +827,28 @@ def test_validate_rejects_keys_the_kind_does_not_read(tmp_path, capsys, body, ol
     assert main(["validate", "--config", write_config(tmp_path, body.replace(old, new))]) == 2
     err = capsys.readouterr().err
     assert kind in err and named in err
+
+
+def test_domination_check_records_the_lag1_of_each_statistic(tmp_path):
+    # each statistic's batch lag-1 goes into replicates.jsonl, deterministic
+    # in the seed; the results.csv columns stay as they were
+    body = RC_AS_DOM.replace("sweeps = 2200\nburn_in = 400\nthinning = 2", "sweeps = 300\nburn_in = 60\nthinning = 1")
+    cfg = load_config(write_config(tmp_path, body))
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    run_experiment(cfg, out_a)
+    run_experiment(cfg, out_b)
+    assert digest(f"{out_a}/replicates.jsonl") == digest(f"{out_b}/replicates.jsonl")
+    records = [json.loads(line) for line in open(f"{out_a}/replicates.jsonl")]
+    entries = [
+        entry
+        for rec in records
+        if rec["record"] == "replicate"
+        for cell in rec["cells"]
+        for entry in cell["stats"].values()
+    ]
+    assert len(entries) == 2 * 7 and all(-1.0 <= entry["rc_lag1"] <= 1.0 for entry in entries)
+    header = open(f"{out_a}/results.csv").read().splitlines()[1]
+    assert header == "environment,z,statistic,poisson_est,poisson_stderr,rc_est,rc_stderr,margin_sigma,pass"
 
 
 @pytest.mark.parametrize(

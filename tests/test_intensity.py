@@ -23,11 +23,10 @@ from wrlab.intensity import (
     covariance_decay_probe,
     dominating_measure,
     realize_environment,
-    sample_location,
     sample_poisson,
     total_mass,
 )
-from wrlab.rng import as_generator, spawn
+from wrlab.rng import UniformBlocks, as_generator, spawn
 
 UNIT = Window.cube(1.0, 2)
 
@@ -381,10 +380,23 @@ def test_sup_bound_violation_detected():
         sample_poisson(env, UNIT, 3.0, seed=1)
 
 
+def birth_locations(env, window, n, seed):
+    """``n`` points of the weighted chain's birth proposal: a draw of
+    :func:`dominating_measure`, kept with its thinning factor, is
+    distributed as the environment mass normalized on the window."""
+    _, draw, thin = dominating_measure(env, window, 1.0)
+    ub = UniformBlocks(as_generator(seed))
+    out = []
+    while len(out) < n:
+        pos = draw(ub)
+        if thin is None or ub.next() <= thin(pos):
+            out.append(pos)
+    return np.array(out)
+
+
 def test_sample_location_uniform_chi_square():
     env = realize_environment(HomogeneousLebesgue(1.0), UNIT, seed=0)
-    children = spawn(42, 4000)
-    pts = np.array([sample_location(env, UNIT, s) for s in children])
+    pts = birth_locations(env, UNIT, 4000, seed=42)
     bins_x = np.minimum((pts[:, 0] * 4).astype(int), 3)
     bins_y = np.minimum((pts[:, 1] * 4).astype(int), 3)
     counts = np.bincount(bins_x * 4 + bins_y, minlength=16)
@@ -396,8 +408,7 @@ def test_sample_location_on_segment_is_arclength_uniform():
     win = Window.cube(5.0, 2)
     env = segment_env([[1.0, 1.0]], [[4.0, 4.0]], [1.0], win)
     start, end, length = env.segments.start[0], env.segments.end[0], env.segments.lengths[0]
-    children = spawn(7, 2000)
-    pts = np.array([sample_location(env, win, s) for s in children])
+    pts = birth_locations(env, win, 2000, seed=7)
     direction = (end - start) / length
     offsets = pts - start
     along = offsets @ direction
@@ -411,18 +422,10 @@ def test_sample_location_mixed_density_ratio():
     # density 3 on the left half, 1 on the right: 75/25 split
     dens = DensityField(lambda pts: np.where(pts[:, 0] < 0.5, 3.0, 1.0), sup_bound=3.0)
     env = realize_environment(dens, UNIT, seed=0)
-    children = spawn(15, 4000)
-    left = sum(sample_location(env, UNIT, s)[0] < 0.5 for s in children)
+    left = (birth_locations(env, UNIT, 4000, seed=15)[:, 0] < 0.5).sum()
     p_hat = left / 4000
     se = math.sqrt(0.75 * 0.25 / 4000)
     assert abs(p_hat - 0.75) <= 3.0 * se
-
-
-def test_sample_location_zero_mass_raises():
-    win = Window.cube(2.0, 2)
-    env = realize_environment(HomogeneousLebesgue(0.0), win, seed=0)
-    with pytest.raises(ValueError, match="zero total mass"):
-        sample_location(env, win, seed=1)
 
 
 def test_segment_sampler_counts_proportional_to_mass():
@@ -509,27 +512,6 @@ def test_covariance_probe_voronoi_decays():
 
 
 # -- chain reference measure ---------------------------------------------------
-
-
-def test_environment_dump_jsonl(tmp_path):
-    import json
-
-    from wrlab.intensity import dump_environment_jsonl
-
-    win = Window.cube(4.0, 2)
-    env = realize_environment(VoronoiEdges(1.0), win, seed=2)
-    path = tmp_path / "segments.jsonl"
-    dump_environment_jsonl(env, path)
-    recs = [json.loads(line) for line in open(path)]
-    assert all(r["record"] == "segment" for r in recs)
-    assert len(recs) == len(env.segments)
-
-    dens_env = realize_environment(ShotNoise(0.5, 0.5, 1.0), win, seed=3)
-    path2 = tmp_path / "density.jsonl"
-    dump_environment_jsonl(dens_env, path2, region=win, cell=1.0)
-    recs2 = [json.loads(line) for line in open(path2)]
-    assert all(r["record"] == "density" for r in recs2)
-    assert len(recs2) == 16
 
 
 def test_dominating_measure_exact_for_constant_and_segments():

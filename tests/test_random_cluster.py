@@ -16,7 +16,6 @@ from wrlab.random_cluster import (
     check_es_identity,
     estimate_merge_bound,
     merge_bound_cap,
-    papangelou_ratio,
     papangelou_ratio_batch,
     rc_component_exponent,
     run_rc_chain,
@@ -220,8 +219,8 @@ def test_color_dropping_agrees_with_direct_chain():
 
 def test_papangelou_isolated_point():
     dom = DominationConfig(tau=2.0 ** (-5), merge_bound=5)
-    ratio = papangelou_ratio(np.array([5.0, 5.0]), Configuration.empty(2), dom, 0.5, BIG)
-    assert abs(ratio - 2.0 * 2.0**5) < 1e-12
+    ratio = papangelou_ratio_batch(np.array([[5.0, 5.0]]), Configuration.empty(2), dom, 0.5, BIG)
+    assert abs(ratio[0] - 2.0 * 2.0**5) < 1e-12
 
 
 def test_papangelou_merge_arithmetic():
@@ -230,8 +229,8 @@ def test_papangelou_merge_arithmetic():
     # two separate components both within 2a of the probe point
     conf = conf_of([[5.0 - 0.95, 5.0], [5.0 + 0.95, 5.0]])
     assert rc_component_exponent(conf, a, BIG) == 2
-    ratio = papangelou_ratio(np.array([5.0, 5.0]), conf, dom, a, BIG)
-    assert abs(ratio - 2.0 ** (1 - 2) * 2.0**5) < 1e-12
+    ratio = papangelou_ratio_batch(np.array([[5.0, 5.0]]), conf, dom, a, BIG)
+    assert abs(ratio[0] - 2.0 ** (1 - 2) * 2.0**5) < 1e-12
 
 
 def test_papangelou_batch_matches_single_and_stays_above_one():
@@ -245,8 +244,8 @@ def test_papangelou_batch_matches_single_and_stays_above_one():
         batch = papangelou_ratio_batch(xs, conf, dom, 0.5, win)
         assert (batch >= 1.0).all()
         for i in (0, 12, 24):
-            single = papangelou_ratio(xs[i], conf, dom, 0.5, win)
-            assert abs(single - batch[i]) < 1e-12
+            single = papangelou_ratio_batch(xs[i : i + 1], conf, dom, 0.5, win)
+            assert abs(single[0] - batch[i]) < 1e-12
 
 
 # -- merge bound --------------------------------------------------------------------

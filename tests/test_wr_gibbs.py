@@ -91,10 +91,9 @@ def test_color_swap_equivariance():
         conf = marked(
             rng.uniform(0, 6, size=(n, 2)), rng.choice([PLUS, MINUS], size=n)
         )
-        assert is_viable(conf, 0.7, PLUS_WIRED, win) == is_viable(
-            conf.flipped(), 0.7, MINUS_WIRED, win
-        )
-        assert is_viable(conf, 0.7, FREE, win) == is_viable(conf.flipped(), 0.7, FREE, win)
+        swapped = MarkedConfiguration(conf.positions, -conf.colors)
+        assert is_viable(conf, 0.7, PLUS_WIRED, win) == is_viable(swapped, 0.7, MINUS_WIRED, win)
+        assert is_viable(conf, 0.7, FREE, win) == is_viable(swapped, 0.7, FREE, win)
 
 
 def test_viability_is_monotone_under_deletion():
@@ -433,22 +432,6 @@ def test_dlr_corrupted_chain_rejected(monkeypatch):
 # -- validation ---------------------------------------------------------------------
 
 
-def test_trace_export_jsonl(tmp_path):
-    import json
-
-    from wrlab.wr_gibbs import write_trace_jsonl
-
-    states = [
-        marked([[0.25, 0.5]], [PLUS]),
-        marked([[0.25, 0.5], [0.8, 0.9]], [PLUS, MINUS]),
-    ]
-    path = tmp_path / "trace.jsonl"
-    write_trace_jsonl(states, path, sweep_indices=[10, 12])
-    lines = [json.loads(line) for line in open(path)]
-    assert lines[0]["sweep"] == 10
-    assert lines[1]["points"][1] == [0.8, 0.9, "minus"]
-
-
 def test_strict_diagnostics_raise_on_sticky_chain(monkeypatch):
     from wrlab.wr_gibbs import ChainDiagnosticsError
 
@@ -471,22 +454,6 @@ def test_marked_configuration_validation():
         marked([[0.0, 0.0]], [2])
     with pytest.raises(ValueError):
         marked([[0.0, 0.0], [0.0, 0.0]], [PLUS, MINUS])
-
-
-def test_counts_in_counts_each_color_in_the_closed_box():
-    # the box is closed, as in Window.contains, and each colour is counted
-    # on its own
-    delta = Window(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-    conf = marked(
-        [[1.0, 1.5], [2.0, 2.0], [1.5, 1.5], [np.nextafter(2.0, 3.0), 1.5], [0.5, 0.5], [1.2, 1.9]],
-        [PLUS, PLUS, MINUS, PLUS, MINUS, MINUS],
-    )
-    assert conf.counts_in(delta) == (2, 2)
-    assert conf.flipped().counts_in(delta) == (2, 2)
-    assert MarkedConfiguration.empty(2).counts_in(delta) == (0, 0)
-    one_sided = MarkedConfiguration(conf.positions[:2], conf.colors[:2])
-    assert one_sided.counts_in(delta) == (2, 0)
-    assert one_sided.flipped().counts_in(delta) == (0, 2)
 
 
 def test_mcmc_settings_validation():
