@@ -61,6 +61,10 @@ def spawn(seed, n: int):
     raise TypeError(f"cannot spawn from {type(seed).__name__}")
 
 
+# uniforms drawn per block by UniformBlocks
+_BLOCK = 8192
+
+
 class UniformBlocks:
     """Scalar uniforms served from pre-drawn blocks of a Generator.
 
@@ -69,18 +73,17 @@ class UniformBlocks:
     ``Generator.random()``.
     """
 
-    __slots__ = ("_rng", "_buf", "_i", "_block")
+    __slots__ = ("_rng", "_buf", "_i")
 
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = block
-        self._buf = rng.random(block).tolist()
+        self._buf = rng.random(_BLOCK).tolist()
         self._i = 0
 
     def next(self) -> float:
         i = self._i
-        if i == self._block:
-            self._buf = self._rng.random(self._block).tolist()
+        if i == _BLOCK:
+            self._buf = self._rng.random(_BLOCK).tolist()
             i = 0
         self._i = i + 1
         return self._buf[i]
