@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -205,6 +202,10 @@ def build_components(
         touches = np.zeros(0, dtype=bool)
         wired = 1 if params.wired else None
         return ComponentLabeling(labels, 0, touches, wired, params.a)
+
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
 
     tree = cKDTree(pts)
     pairs = tree.query_pairs(r, output_type="ndarray")

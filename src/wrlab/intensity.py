@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
 
 from .geometry import Configuration, GridIndex, Window, has_duplicate_rows
 from .rng import as_generator, spawn
@@ -339,6 +338,8 @@ def _realize_voronoi(
     """
     if window.dim != 2:
         raise ValueError("VoronoiEdges environments require dimension 2")
+    from scipy.spatial import Voronoi, cKDTree
+
     max_attempts = 6
     children = spawn(seed, max_attempts)
     for attempt in range(max_attempts):
@@ -467,6 +468,8 @@ def realize_environment(
             dens = lambda pts: np.zeros(len(np.atleast_2d(pts)))
             sup = 0.0
         else:
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(germs)
             # sup over x of the germ count within r is bounded by the max,
             # over germs g, of the germ count within 2r of g
@@ -499,6 +502,8 @@ def realize_environment(
         if len(germs) == 0:
             dens = lambda pts, _lo=lo: np.full(len(np.atleast_2d(pts)), _lo)
         else:
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(germs)
 
             def dens(pts, _tree=tree, _r=model.grain_radius, _lo=lo, _hi=hi):

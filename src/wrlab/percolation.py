@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
-from scipy.spatial import cKDTree
 
 from .geometry import ComponentLabeling, Configuration, ConnectivityParams, Window, build_components
 from .intensity import IntensityModel, realize_environment, sample_poisson
@@ -79,6 +76,9 @@ def crossing_level(
     node with weight ``u``; the level is the largest weight on the ghosts'
     path in a minimum spanning forest (inf when they never meet).
     """
+    from scipy import sparse
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+
     n, r, coord = len(u), 2.0 * a, points[:, axis]
     low = np.flatnonzero(coord - window.lower[axis] <= r)
     high = np.flatnonzero(window.upper[axis] - coord <= r)
@@ -99,6 +99,9 @@ def crossing_level(
 
 def largest_fraction(u: np.ndarray, pairs: np.ndarray, t: float) -> float:
     """:func:`largest_component_fraction` of the points with ``u <= t``."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     kept = u <= t
     if not kept.any():
         return 0.0
@@ -117,6 +120,8 @@ def _check_scan_shape(a: float, L: float, replicates: int) -> None:
 
 def _replicate(model: IntensityModel, window: Window, z_top: float, a: float, guard_margin, seed):
     """Poisson points at ``z_top``, a thinning uniform per point, and the 2a-neighbour pairs."""
+    from scipy.spatial import cKDTree
+
     env_seed, pts_seed, thin_seed = spawn(seed, 3)
     env = realize_environment(model, window, guard_margin, env_seed)
     points = sample_poisson(env, window, z_top, pts_seed).points

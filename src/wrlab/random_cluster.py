@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     Configuration,
@@ -492,6 +491,8 @@ def papangelou_ratio_batch(
     x_touches = window.boundary_distance(xs) <= r
     out = np.zeros(len(xs))
     if len(conf):
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(conf.points)
         neighbor_lists = tree.query_ball_point(xs, r)
     else:

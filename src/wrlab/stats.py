@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 METHODS = ("batch-means", "replicate-variance", "wilson", "order-statistic")
 
@@ -40,6 +39,8 @@ def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[f
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
+    from scipy import special
+
     z = float(special.ndtri(0.5 + level / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -94,8 +95,12 @@ def summarize_replicates(values) -> EstimateWithError:
 
 def binomial_quantile(q: float, n: int, p: float) -> int:
     """Smallest k with P(Binomial(n, p) <= k) >= q, for 0 < q < 1: the value of
-    ``scipy.stats.binom.ppf`` without importing ``scipy.stats``.  At exact ties
-    (q = 0.5, p = 0.5, n odd) their cdf codes may round apart by one."""
+    ``scipy.stats.binom.ppf`` from ``scipy.special`` alone, which is imported
+    on the first call, so a process that never needs a quantile loads no
+    scipy.  At exact ties (q = 0.5, p = 0.5, n odd) their cdf codes may round
+    apart by one."""
+    from scipy import special
+
     v = math.ceil(special.bdtrik(q, n, p))
     below = max(v - 1, 0)
     return below if special.bdtr(below, n, p) >= q else v
@@ -109,6 +114,8 @@ def order_statistic_estimate(values, p: float) -> EstimateWithError:
     cover the true quantile with probability at least 68.27% (one normal
     sigma); it is inf when X_(s) is.
     """
+    from scipy import special
+
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
     tail = float(special.ndtr(-1.0))

@@ -11,7 +11,7 @@ import pytest
 
 import wrlab
 from wrlab.cli import main
-from wrlab.config import ConfigError, load_config
+from wrlab.config import EXPERIMENT_KINDS, ConfigError, load_config
 from wrlab.runner import RunnerFailure, merge_replicates, run_experiment
 
 
@@ -414,13 +414,28 @@ def test_segment_environment_outputs_are_pinned(tmp_path, body, results_sha, rep
     assert digest(f"{out}/replicates.jsonl") == replicates_sha
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about half a second to import; the CLI needs only
-    # scipy.special, which scipy.sparse loads anyway
-    code = "import sys, wrlab.cli; print('scipy.stats' in sys.modules)"
+def test_import_and_validate_load_no_scipy(tmp_path):
+    # importing scipy takes longer than numpy and the interpreter together;
+    # library import and `wrlab validate` of every kind start on numpy alone,
+    # and a campaign imports what it uses of scipy when it first calls it
+    bodies = {
+        "percolation-scan": SCAN.format(reps=2, off=0),
+        "wr-order-parameter": WROP_RANDOM_SET,
+        "rc-check": RC_CHECK,
+        "domination-check": DOMINATION_CHECK,
+        "dlr-check": DLR_RANDOM_SET,
+        "env-validate": ENV_VALIDATE.format(seed=1, model="model = voronoi\nseed_intensity = 1.0", reps=2),
+    }
+    assert set(bodies) == set(EXPERIMENT_KINDS)
+    paths = [write_config(tmp_path, body, f"{kind}.cfg") for kind, body in bodies.items()]
+    code = (
+        "import sys, wrlab, wrlab.cli\n"
+        "codes = [wrlab.cli.main(['validate', '--config', p]) for p in sys.argv[1:]]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wrlab.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(paths)} []"
 
 
 def test_merge_equals_full_run_and_commutes(tmp_path):

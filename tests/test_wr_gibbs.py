@@ -264,8 +264,13 @@ def test_block_sampler_count_law_matches_closed_form(monkeypatch):
     assert len(corrupted_steps) == settings.sweeps
 
 
+# values of _clear_of's size cut under which every exclusion takes the
+# KD-tree, and under which every one compares all pairs directly
+CLEAR_OF_CUTS = (0, 10**12)
+
+
 @pytest.mark.parametrize("wired", [PLUS, None])
-def test_block_half_step_excludes_at_exactly_two_radii(wired):
+def test_block_half_step_excludes_at_exactly_two_radii(monkeypatch, wired):
     # a = 0.5 in [0, 6]^2: each pair of candidates below sits at exactly 2a
     # from the plus point (3, 3) or from a face, and one float step farther
     a, win = 0.5, Window.cube(6.0, 2)
@@ -285,17 +290,19 @@ def test_block_half_step_excludes_at_exactly_two_radii(wired):
     # admission rule drops
     fixed_draw = lambda rng, admit: cand[admit(cand)]
     plus = np.array([[3.0, 3.0]])
-    kept = wr_gibbs._redraw(params, MINUS, plus, wired, fixed_draw, np.random.default_rng(0))
     expected = [beyond for _, beyond in point_pairs]
     if wired is None:
         # a free boundary excludes nothing near the faces
         expected += [at for (at, _), on_face in zip(point_pairs, face) if on_face]
-    assert sorted(map(tuple, kept.tolist())) == sorted(expected)
-    # the rule is is_viable's, candidate by candidate
     boundary = FREE if wired is None else PLUS_WIRED
-    for x in cand:
-        state = marked([plus[0], x], [PLUS, MINUS])
-        assert is_viable(state, a, boundary, win) == any((kept == x).all(axis=1))
+    for direct_pairs in CLEAR_OF_CUTS:
+        monkeypatch.setattr(wr_gibbs, "_CLEAR_OF_DIRECT_PAIRS", direct_pairs)
+        kept = wr_gibbs._redraw(params, MINUS, plus, wired, fixed_draw, np.random.default_rng(0))
+        assert sorted(map(tuple, kept.tolist())) == sorted(expected)
+        # the rule is is_viable's, candidate by candidate
+        for x in cand:
+            state = marked([plus[0], x], [PLUS, MINUS])
+            assert is_viable(state, a, boundary, win) == any((kept == x).all(axis=1))
 
 
 def thin_then_exclude(params, color, other, wired, rng):
@@ -313,7 +320,7 @@ def thin_then_exclude(params, color, other, wired, rng):
 
 @pytest.mark.parametrize("boundary", [FREE, PLUS_WIRED, MINUS_WIRED])
 @pytest.mark.parametrize("model", [RandomSetIndicator(1.2, 0.8, 0.5, 0.5), ShotNoise(0.6, 0.5, 2.0), VoronoiEdges(1.0)])
-def test_half_step_thinning_after_exclusion_matches_thinning_first(boundary, model):
+def test_half_step_thinning_after_exclusion_matches_thinning_first(monkeypatch, boundary, model):
     # the half-step admits candidates before it thins them; on the same
     # generator state it keeps the points of thinning first, and leaves the
     # generator where thinning first does
@@ -322,18 +329,20 @@ def test_half_step_thinning_after_exclusion_matches_thinning_first(boundary, mod
     params = WRParams(a=0.4, z=0.6, env=env, window=win)
     wired = wired_color(boundary)
     draw = poisson_draw(env, win, params.z)
-    rng, ref_rng = as_generator(17), as_generator(17)
-    points = {PLUS: np.zeros((0, 2)), MINUS: np.zeros((0, 2))}
-    kept = {PLUS: 0, MINUS: 0}
-    for _ in range(30):
-        for color in (PLUS, MINUS):
-            other = points[-color]
-            expected = thin_then_exclude(params, color, other, wired, ref_rng)
-            points[color] = wr_gibbs._redraw(params, color, other, wired, draw, rng)
-            assert np.array_equal(points[color], expected)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            kept[color] += len(expected)
-    assert kept[PLUS] and kept[MINUS]
+    for direct_pairs in CLEAR_OF_CUTS:
+        monkeypatch.setattr(wr_gibbs, "_CLEAR_OF_DIRECT_PAIRS", direct_pairs)
+        rng, ref_rng = as_generator(17), as_generator(17)
+        points = {PLUS: np.zeros((0, 2)), MINUS: np.zeros((0, 2))}
+        kept = {PLUS: 0, MINUS: 0}
+        for _ in range(30):
+            for color in (PLUS, MINUS):
+                other = points[-color]
+                expected = thin_then_exclude(params, color, other, wired, ref_rng)
+                points[color] = wr_gibbs._redraw(params, color, other, wired, draw, rng)
+                assert np.array_equal(points[color], expected)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                kept[color] += len(expected)
+        assert kept[PLUS] and kept[MINUS]
 
 
 def test_block_half_step_detects_an_understated_sup_bound():
@@ -454,6 +463,10 @@ def test_marked_configuration_validation():
         marked([[0.0, 0.0]], [2])
     with pytest.raises(ValueError):
         marked([[0.0, 0.0], [0.0, 0.0]], [PLUS, MINUS])
+    # as int8, 255 wraps to -1 and 1.5 truncates to 1: both must be refused
+    for colors in (np.array([255, 1]), np.array([1.5, 1.0])):
+        with pytest.raises(ValueError, match="colors must be"):
+            marked([[0.0, 0.0], [1.0, 1.0]], colors)
 
 
 def test_mcmc_settings_validation():
