@@ -314,6 +314,11 @@ RC_SHOT_NOISE = (
     .replace("sweeps = 2200\nburn_in = 400", "sweeps = 1200\nburn_in = 200")
 )
 
+RC_RANDOM_SET = RC_SHOT_NOISE.replace(
+    "model = shot-noise\npp_intensity = 0.6\nkernel_radius = 0.5\nkernel_amplitude = 2.0",
+    "model = random-set\nlambda_inside = 1.2\nlambda_outside = 0.8\ngerm_intensity = 0.5\ngrain_radius = 0.5",
+)
+
 
 @pytest.mark.parametrize(
     "body, config_hash, results_sha, replicates_sha",
@@ -330,14 +335,20 @@ RC_SHOT_NOISE = (
             "bf4a4bb90edf5946c083cbc0854ca0dfe9ea4577b8454659bff091591d132bf6",
             "fd689afb9cfdffd5472574a15cceee36f6114de1e4fb8f28fd2a80cda12497f4",
         ),
+        (
+            RC_RANDOM_SET,
+            "a9a91d8ba7c529f1",
+            "1cf8d1754aaf88eca313dc1c183f97aa0897782aa1b899c81ae55e3943fee58c",
+            "921ddb6052b0c44950194c7f3d920e81b0d6deaf4278e068db551363cc01ec66",
+        ),
     ],
-    ids=["dlr-random-set", "rc-check-shot-noise"],
+    ids=["dlr-random-set", "rc-check-shot-noise", "rc-check-random-set"],
 )
 def test_single_site_chain_outputs_are_pinned(tmp_path, body, config_hash, results_sha, replicates_sha):
     # the DLR check on the block Gibbs sampler, and the weighted chain
-    # (_RcChain, with the germ probe and the neighbour grid) in rc-check, byte
-    # for byte; a change that moves them on purpose updates these digests
-    # and says so
+    # (_RcChain, with its neighbour grid) in rc-check on both germ
+    # environments, byte for byte; a change that moves them on purpose
+    # updates these digests and says so
     cfg = load_config(write_config(tmp_path, body))
     assert cfg.hash() == config_hash
     out = str(tmp_path / "out")
