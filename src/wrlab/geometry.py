@@ -349,15 +349,6 @@ class GridIndex:
         if not bucket:
             del self.cells[key]
 
-    def relabel(self, old: int, new: int, pos) -> None:
-        """``remove(old, pos)`` then ``add(new, pos)``, with one key."""
-        key = self.key(pos)
-        bucket = self.cells[key]
-        bucket.discard(old)
-        if not bucket:
-            bucket = self.cells[key] = set()
-        bucket.add(new)
-
     def nearby(self, pos) -> list:
         """Point ids in the 3^d cells around ``pos`` (caller distance-checks)."""
         cells = self.cells

@@ -27,7 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import Configuration, GridIndex, Window, has_duplicate_rows
+from .geometry import Configuration, Window, has_duplicate_rows
 from .rng import as_generator, spawn
 
 
@@ -202,16 +202,9 @@ class EnvironmentRealization:
     """One frozen draw of an intensity model, valid on ``guard_window``.
 
     Exactly one of (``density``, ``segments``) is set.  ``constant_density``
-    marks the exact-mass fast path; ``grid_hint`` is the midpoint-rule cell
-    side used when a general density has to be integrated numerically.
-
-    ``point_density`` is a scalar probe of one planar point, returning the
-    same float as ``density_at([pos])[0]``.  Shot-noise and random-set
-    realizations in the plane set it: it counts germs within the kernel or
-    grain radius in a :class:`~wrlab.geometry.GridIndex` over the germs,
-    with the ``<=`` rule of the KD-tree.
-    It does not check the sup bound; the weighted chain's ``thin`` (see
-    :func:`dominating_measure`) does.  ``density_at`` keeps the array path.
+    marks the exact-mass fast path; ``grid_hint`` sets the resolution when a
+    general density has to be integrated numerically: :func:`total_mass`
+    uses the midpoint rule on cells of side ``grid_hint / 2``.
     """
 
     model: IntensityModel
@@ -221,7 +214,6 @@ class EnvironmentRealization:
     constant_density: float | None = None
     segments: SegmentSet | None = None
     grid_hint: float = 0.25
-    point_density: Callable[[tuple], float] | None = None
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the density, enforcing the declared sup bound."""
@@ -271,34 +263,6 @@ def check_guard_margin(model: IntensityModel, guard_margin: float | None) -> flo
 def _poisson_points(rng: np.random.Generator, rate: float, window: Window) -> np.ndarray:
     n = rng.poisson(rate * window.volume)
     return rng.uniform(window.lower, window.upper, size=(n, window.dim))
-
-
-def _germ_counter(germs: np.ndarray, r: float, window: Window) -> Callable[[tuple], int]:
-    """Scalar count of planar germs within distance ``r`` (closed) of a point.
-
-    The germs sit in a :class:`~wrlab.geometry.GridIndex` of radius ``r``
-    over the draw window, so the 3x3 cells around the point hold every germ
-    that counts.  The test ``dx*dx + dy*dy <= r*r`` is the KD-tree's own
-    (squared distance against the squared radius).
-    """
-    coords = germs.tolist()
-    grid = GridIndex(window, r)
-    for i, g in enumerate(coords):
-        grid.add(i, g)
-    r2 = r * r
-
-    def count(pos) -> int:
-        px, py = pos
-        n = 0
-        for i in grid.nearby(pos):
-            gx, gy = coords[i]
-            dx = px - gx
-            dy = py - gy
-            if dx * dx + dy * dy <= r2:
-                n += 1
-        return n
-
-    return count
 
 
 def _clip_segments(p: np.ndarray, q: np.ndarray, window: Window):
@@ -460,10 +424,6 @@ def realize_environment(
         valid = window.expand(guard_margin - model.kernel_radius) if guard_margin > model.kernel_radius else window
         r = model.kernel_radius
         amp = model.kernel_amplitude
-        point_density = None
-        if window.dim == 2:
-            count = _germ_counter(germs, r, draw_window)
-            point_density = lambda pos, _amp=float(amp): _amp * count(pos)
         if len(germs) == 0:
             dens = lambda pts: np.zeros(len(np.atleast_2d(pts)))
             sup = 0.0
@@ -486,7 +446,6 @@ def realize_environment(
             density=dens,
             sup_bound=sup,
             grid_hint=r / 4.0,
-            point_density=point_density,
         )
 
     if isinstance(model, RandomSetIndicator):
@@ -495,10 +454,6 @@ def realize_environment(
         germs = _poisson_points(rng, model.germ_intensity, draw_window)
         valid = window.expand(guard_margin - model.grain_radius) if guard_margin > model.grain_radius else window
         lo, hi = model.lambda_outside, model.lambda_inside
-        point_density = None
-        if window.dim == 2:
-            covered = _germ_counter(germs, model.grain_radius, draw_window)
-            point_density = lambda pos, _lo=float(lo), _hi=float(hi): _hi if covered(pos) else _lo
         if len(germs) == 0:
             dens = lambda pts, _lo=lo: np.full(len(np.atleast_2d(pts)), _lo)
         else:
@@ -517,7 +472,6 @@ def realize_environment(
             density=dens,
             sup_bound=max(lo, hi),
             grid_hint=model.grain_radius / 4.0,
-            point_density=point_density,
         )
 
     if isinstance(model, VoronoiEdges):
@@ -683,27 +637,20 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float):
     factor enters the acceptance ratio; constant and segment environments
     have exact mass directly.
 
-    ``thin`` probes the realization's scalar ``point_density`` where it has
-    one (one grid lookup per birth proposal, no array round trip), else
-    ``density_at``.  Both raise :class:`SupBoundViolation` on a value above
-    the sup bound, by the same comparison.  Planar draws take their two
-    uniforms x first, then y, as the generic draw does.
+    ``thin`` reads ``density_at``, so it raises :class:`SupBoundViolation` on
+    a value above the sup bound.  ``draw`` takes one uniform per coordinate,
+    in coordinate order.  The weighted chain draws its births one at a time
+    from here, and colour dropping draws through :func:`poisson_draw`; the
+    two stay separate so that the direct chain is an independent oracle of
+    colour dropping.
     """
     _check_region(env, window)
     lo = window.lower.tolist()
     sides = window.sides.tolist()
     dim = window.dim
 
-    if dim == 2:
-
-        def uniform_draw(ub, _x0=lo[0], _y0=lo[1], _sx=sides[0], _sy=sides[1]):
-            x = _x0 + ub.next() * _sx
-            return (x, _y0 + ub.next() * _sy)
-
-    else:
-
-        def uniform_draw(ub, _lo=lo, _sides=sides, _dim=dim):
-            return tuple(_lo[k] + ub.next() * _sides[k] for k in range(_dim))
+    def uniform_draw(ub, _lo=lo, _sides=sides, _dim=dim):
+        return tuple(_lo[k] + ub.next() * _sides[k] for k in range(_dim))
 
     if env.segments is not None:
         p, q, mass = _clipped_segments(env, window)
@@ -731,20 +678,8 @@ def dominating_measure(env: EnvironmentRealization, window: Window, z: float):
     if total == 0.0:
         return 0.0, uniform_draw, None
 
-    if env.point_density is None:
-
-        def thin(pos, _env=env, _sup=sup):
-            return float(_env.density_at(np.array([pos]))[0]) / _sup
-
-    else:
-        # density_at's sup-bound check, on one value
-        limit = sup * (1.0 + 1e-9) + 1e-12
-
-        def thin(pos, _density=env.point_density, _sup=sup, _limit=limit):
-            value = _density(pos)
-            if value > _limit:
-                raise SupBoundViolation(pos, value, _sup)
-            return value / _sup
+    def thin(pos, _env=env, _sup=sup):
+        return float(_env.density_at(np.array([pos]))[0]) / _sup
 
     return total, uniform_draw, thin
 

@@ -28,7 +28,6 @@ MINUS = -1
 FREE = "free"
 PLUS_WIRED = "plus-wired"
 MINUS_WIRED = "minus-wired"
-BOUNDARIES = (FREE, PLUS_WIRED, MINUS_WIRED)
 
 
 def wired_color(boundary: str) -> int | None:
@@ -150,13 +149,10 @@ class ChainDiagnosticsError(RuntimeError):
 class RejectionBudgetError(RuntimeError):
     """Rejection sampler exhausted its attempts without a viable draw."""
 
-    def __init__(self, attempts: int, accepted: int = 0):
+    def __init__(self, attempts: int):
         self.attempts = attempts
-        self.accepted = accepted
-        self.acceptance_rate = accepted / attempts if attempts else 0.0
         super().__init__(
-            f"no viable draw in {attempts} attempts "
-            f"(empirical acceptance {self.acceptance_rate:.2e}); "
+            f"no viable draw in {attempts} attempts; "
             "the viable-fraction normalization is too small for rejection"
         )
 

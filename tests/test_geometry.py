@@ -278,7 +278,7 @@ def test_grid_index_add_remove_nearby():
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["add", "remove", "relabel"]),
+            st.sampled_from(["add", "remove"]),
             st.integers(0, 11),
             st.tuples(st.integers(0, 16), st.integers(0, 16)),
         ),
@@ -304,12 +304,6 @@ def test_grid_index_nearby_matches_brute_force(ops, probes):
         elif op == "remove" and idx in live:
             grid.remove(idx, live.pop(idx))
             removed.add(idx)
-        elif op == "relabel" and idx in live:
-            new = max(live) + 1
-            grid.relabel(idx, new, live[idx])
-            live[new] = live.pop(idx)
-            removed.add(idx)
-            removed.discard(new)
     for i, j in [(0, 0), (16, 16), *probes]:
         pos = site(i, j)
         near = grid.nearby(pos)

@@ -533,9 +533,17 @@ def test_dominating_measure_thinning_factor_matches_density():
     assert total == 3.0
     assert abs(thin((0.1, 0.5)) - 1.0) < 1e-12
     assert abs(thin((0.9, 0.5)) - 1.0 / 3.0) < 1e-12
+    # germ environments: thin is density_at over the sup bound, point by point
+    window = Window.cube(3.0, 2)
+    pts = np.random.default_rng(5).uniform(0.0, 3.0, size=(300, 2))
+    for model in (ShotNoise(1.5, 0.5, 2.0), RandomSetIndicator(1.2, 0.8, 1.0, 0.5)):
+        env = realize_environment(model, window, seed=4)
+        _, _, thin = dominating_measure(env, window, 1.0)
+        values = [thin(tuple(p)) for p in pts.tolist()]
+        assert values == (env.density_at(pts) / env.sup_bound).tolist()
 
 
-# -- the scalar probe of germ environments ------------------------------------
+# -- the density of germ environments -------------------------------------------
 
 
 def germ_env(kind, r, germs, window):
@@ -546,9 +554,16 @@ def germ_env(kind, r, germs, window):
         return realize_environment(model, window, seed=0)
 
 
-def assert_probes_agree(env, probes):
+def assert_closed_ball_counts(env, kind, r, germs, probes):
+    """``density_at`` against a brute-force count of the germs in the closed
+    ball of radius ``r`` around each probe (squared distances, ``<=``)."""
+    germs = np.array(germs, dtype=float).reshape(-1, 2)
     for p in probes:
-        assert env.point_density(p) == env.density_at(np.array([p]))[0], p
+        dx = p[0] - germs[:, 0]
+        dy = p[1] - germs[:, 1]
+        count = int((dx * dx + dy * dy <= r * r).sum())
+        expected = 2.5 * count if kind == "shot-noise" else (1.2 if count else 0.8)
+        assert env.density_at(np.array([p]))[0] == expected, p
 
 
 @hypothesis_settings(max_examples=120, deadline=None)
@@ -558,13 +573,14 @@ def assert_probes_agree(env, probes):
     germ_sites=st.sets(st.tuples(st.integers(-5, 25), st.integers(-5, 25)), max_size=25),
     probe_sites=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=8),
 )
-def test_point_density_matches_density_at_on_lattice_ties(kind, r, germ_sites, probe_sites):
+def test_density_at_matches_closed_ball_count_on_lattice_ties(kind, r, germ_sites, probe_sites):
     # a lattice of step r/5 on the window [0, 4r]^2 and its guard margin of
     # width r: sites (5, 0) or (3, 4) steps apart sit at exactly r
     h = r / 5.0
     window = Window.cube(4.0 * r, 2)
-    env = germ_env(kind, r, [(h * i, h * j) for i, j in germ_sites], window)
-    cell = r * (1.0 + 2.0**-20)  # the hash's cell side, from the guard corner -r
+    germs = [(h * i, h * j) for i, j in germ_sites]
+    env = germ_env(kind, r, germs, window)
+    cell = r * (1.0 + 2.0**-20)  # a padded grid of side r from the guard corner -r
     probes = []
     for i, j in probe_sites:
         x, y = h * i, h * j
@@ -576,22 +592,26 @@ def test_point_density_matches_density_at_on_lattice_ties(kind, r, germ_sites, p
         ey = -r + cell * ((y + r) // cell)
         probes.extend([(ex, y), (x, ey), (ex, ey)])
     probes = [p for p in probes if window.contains(np.array([p]))[0]]
-    assert_probes_agree(env, probes)
+    assert_closed_ball_counts(env, kind, r, germs, probes)
 
 
-def test_point_density_on_empty_germ_set_and_germs_in_the_margin():
+def test_density_at_on_empty_germ_set_and_germs_in_the_margin():
     window = Window.cube(2.0, 2)
     corners = [(0.0, 0.0), (2.0, 2.0), (1.0, 0.0), (0.5, 0.5)]
+    origin = np.array([[0.0, 0.0]])
     for kind in ("shot-noise", "random-set"):
         empty = germ_env(kind, 0.5, [], window)
-        assert_probes_agree(empty, corners)
+        assert_closed_ball_counts(empty, kind, 0.5, [], corners)
         # germs only in the guard margin, exactly r from the window's corners
-        margin = germ_env(kind, 0.5, [(-0.5, 0.0), (2.0, 2.5), (-0.3, -0.4)], window)
-        assert_probes_agree(margin, corners)
-        assert margin.point_density((0.0, 0.0)) > empty.point_density((0.0, 0.0))
+        germs = [(-0.5, 0.0), (2.0, 2.5), (-0.3, -0.4)]
+        margin = germ_env(kind, 0.5, germs, window)
+        assert_closed_ball_counts(margin, kind, 0.5, germs, corners)
+        assert margin.density_at(origin)[0] > empty.density_at(origin)[0]
 
 
 def test_thin_checks_the_sup_bound_on_the_scalar_probe():
+    # thin reads density_at, so it fails on the same values, with the same
+    # value and bound
     model = RandomSetIndicator(1.2, 0.8, 1.0, 0.5)
 
     def env_with(value):
@@ -600,7 +620,6 @@ def test_thin_checks_the_sup_bound_on_the_scalar_probe():
             guard_window=UNIT,
             density=lambda pts: np.full(len(pts), value),
             sup_bound=1.0,
-            point_density=lambda pos: value,
         )
 
     _, _, thin = dominating_measure(env_with(0.75), UNIT, 2.0)
@@ -616,14 +635,3 @@ def test_thin_checks_the_sup_bound_on_the_scalar_probe():
             env_with(value).density_at(np.array([[0.5, 0.5]]))
         assert (scalar.value.value, scalar.value.bound) == (array.value.value, array.value.bound)
 
-
-def test_thin_uses_the_scalar_probe_of_germ_environments():
-    window = Window.cube(3.0, 2)
-    pts = np.random.default_rng(5).uniform(0.0, 3.0, size=(300, 2))
-    for model in (ShotNoise(1.5, 0.5, 2.0), RandomSetIndicator(1.2, 0.8, 1.0, 0.5)):
-        env = realize_environment(model, window, seed=4)
-        assert env.point_density is not None
-        _, _, thin = dominating_measure(env, window, 1.0)
-        with mock.patch.object(EnvironmentRealization, "density_at", side_effect=AssertionError):
-            values = [thin(tuple(p)) for p in pts.tolist()]
-        assert values == (env.density_at(pts) / env.sup_bound).tolist()
