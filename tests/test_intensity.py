@@ -543,7 +543,7 @@ def test_dominating_measure_thinning_factor_matches_density():
         assert values == (env.density_at(pts) / env.sup_bound).tolist()
 
 
-# -- the density of germ environments -------------------------------------------
+# -- the density of germ environments ------------------------------------------
 
 
 def germ_env(kind, r, germs, window):
@@ -580,14 +580,14 @@ def test_density_at_matches_closed_ball_count_on_lattice_ties(kind, r, germ_site
     window = Window.cube(4.0 * r, 2)
     germs = [(h * i, h * j) for i, j in germ_sites]
     env = germ_env(kind, r, germs, window)
-    cell = r * (1.0 + 2.0**-20)  # a padded grid of side r from the guard corner -r
+    cell = r * (1.0 + 2.0**-20)  # a padded neighbour grid of side r from the guard corner -r
     probes = []
     for i, j in probe_sites:
         x, y = h * i, h * j
         for px in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
             for py in (np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)):
                 probes.append((float(px), float(py)))
-        # the cell edges next to the site
+        # the grid's cell edges next to the site, off the lattice
         ex = -r + cell * ((x + r) // cell)
         ey = -r + cell * ((y + r) // cell)
         probes.extend([(ex, y), (x, ey), (ex, ey)])
