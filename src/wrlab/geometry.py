@@ -180,15 +180,83 @@ class ComponentLabeling:
         return np.bincount(self.labels, minlength=self.num_components_free)
 
 
+def _squared_distances(diff: np.ndarray) -> np.ndarray:
+    """Squared length of each difference vector (the last axis), summed axis
+    by axis: the rule of the KD-tree queries, compared with ``r*r``."""
+    d2 = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        d2 += diff[..., k] * diff[..., k]
+    return d2
+
+
+def _pair_squared_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``(len(p), len(q))`` squared distances between the rows of ``p`` and
+    ``q``, summed axis by axis as in :func:`_squared_distances`, without a
+    ``(len(p), len(q), d)`` difference array."""
+    d2 = np.subtract.outer(p[:, 0], q[:, 0])
+    d2 *= d2
+    for k in range(1, p.shape[1]):
+        dk = np.subtract.outer(p[:, k], q[:, k])
+        dk *= dk
+        d2 += dk
+    return d2
+
+
+# point pairs up to which a distance test compares every pair directly
+# (build_components, wr_gibbs._clear_of); above it a KD-tree is the cheaper
+# one.  On a 2-core x86 machine the direct compare took 0.2-0.6 of the
+# tree's time up to 15k pairs, 0.7-1.0 near 30k, and 2.5x the tree's near
+# 50k, where its n x m arrays outgrow the cache.  Labelling n points
+# compares n * n pairs: at 128 points the direct labels took about half the
+# time of the tree and the sparse pass, 0.75 at 200 and twice it at 256
+_DIRECT_PAIRS = 16384
+
+
+def _direct_labels(pts: np.ndarray, r: float) -> tuple[int, np.ndarray]:
+    """``connected_components``' labels of the ``<= r`` graph, from every
+    pair compared directly.
+
+    Each round hooks every root onto the smallest root it shares an edge
+    with, then compresses each tree to its root.  A hook only lowers a
+    parent, so a root is its component's smallest member, and numbering the
+    roots in index order gives scipy's labels: components in order of
+    their smallest member, as int32.
+    """
+    n = len(pts)
+    i, j = np.divmod(np.flatnonzero(_pair_squared_distances(pts, pts) <= r * r), n)
+    upper = i < j
+    i, j = i[upper], j[upper]
+    if not len(i):
+        return n, np.arange(n, dtype=np.int64)
+    parent = np.arange(n)
+    while True:
+        pi, pj = parent[i], parent[j]
+        split = pi != pj
+        if not split.any():
+            break
+        i, j, pi, pj = i[split], j[split], pi[split], pj[split]
+        np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    is_root = parent == np.arange(n)
+    rank = np.cumsum(is_root, dtype=np.int32) - 1
+    return int(is_root.sum()), rank[parent]
+
+
 def build_components(
     conf: Configuration, params: ConnectivityParams, window: Window
 ) -> ComponentLabeling:
     """Label the 2a-connectivity components of a configuration in a window.
 
-    Neighbor pairs come from a KD-tree range query; component labels from a
-    sparse connected-components pass.  Both are exact for the closed <= 2a
-    rule, and the whole thing is checked against the brute-force oracle in
-    the test suite.
+    Up to ``_DIRECT_PAIRS`` point pairs, every pair is compared on squared
+    distances and components are found by hooking (:func:`_direct_labels`);
+    above it, neighbour pairs come from a KD-tree range query and labels
+    from a sparse connected-components pass.  Both sides give the same
+    labels for the closed <= 2a rule, and both are checked against the
+    brute-force oracle in the test suite.
     """
     pts = conf.points
     n = len(conf)
@@ -203,22 +271,25 @@ def build_components(
         wired = 1 if params.wired else None
         return ComponentLabeling(labels, 0, touches, wired, params.a)
 
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(r, output_type="ndarray")
-    if len(pairs):
-        ones = np.ones(len(pairs), dtype=np.int8)
-        graph = sparse.coo_matrix((ones, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-        num_free, labels = connected_components(graph, directed=False)
+    if n * n <= _DIRECT_PAIRS:
+        num_free, labels = _direct_labels(pts, r)
     else:
-        num_free, labels = n, np.arange(n, dtype=np.int64)
+        from scipy import sparse
+        from scipy.sparse.csgraph import connected_components
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(pts)
+        pairs = tree.query_pairs(r, output_type="ndarray")
+        if len(pairs):
+            ones = np.ones(len(pairs), dtype=np.int8)
+            graph = sparse.coo_matrix((ones, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+            num_free, labels = connected_components(graph, directed=False)
+        else:
+            num_free, labels = n, np.arange(n, dtype=np.int64)
 
     point_touches = window.boundary_distance(pts) <= r
     touches = np.zeros(num_free, dtype=bool)
-    np.logical_or.at(touches, labels[point_touches], True)
+    touches[labels[point_touches]] = True
 
     wired_count = None
     if params.wired:
@@ -304,9 +375,9 @@ def has_crossing(
     near_high = window.upper[axis] - coord <= r
     if not (near_low.any() and near_high.any()):
         return False
-    low_labels = np.unique(labeling.labels[near_low])
-    high_labels = np.unique(labeling.labels[near_high])
-    return bool(np.intersect1d(low_labels, high_labels, assume_unique=True).size)
+    reaches_low = np.zeros(labeling.num_components_free, dtype=bool)
+    reaches_low[labeling.labels[near_low]] = True
+    return bool(reaches_low[labeling.labels[near_high]].any())
 
 
 class GridIndex:

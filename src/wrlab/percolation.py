@@ -61,9 +61,9 @@ def target_reach(
     if not meets_delta.any():
         return False
     near_boundary = window.boundary_distance(conf.points) <= 2.0 * a
-    delta_labels = np.unique(labeling.labels[meets_delta])
-    boundary_labels = np.unique(labeling.labels[near_boundary])
-    return bool(np.intersect1d(delta_labels, boundary_labels, assume_unique=True).size)
+    reaches_delta = np.zeros(labeling.num_components_free, dtype=bool)
+    reaches_delta[labeling.labels[meets_delta]] = True
+    return bool(reaches_delta[labeling.labels[near_boundary]].any())
 
 
 def crossing_level(

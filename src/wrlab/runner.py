@@ -440,9 +440,16 @@ def _sum_dlr_check(cfg: ExperimentConfig, records: list[dict]):
 
 
 def _sum_env_validate(cfg: ExperimentConfig, records: list[dict]):
+    """A quantity passes within ``t_max`` replicate standard errors of its
+    closed form: the two-sided 0.27% Student-t quantile on ``replicates - 1``
+    degrees of freedom, the t analogue of 3 normal sigmas (NaN for one
+    replicate, which then fails)."""
+    from scipy import special
+
     header = ["environment", "replicates", "quantity", "empirical", "stderr", "expected", "pass"]
     rows = []
     criteria = {}
+    t_max = float(special.stdtrit(len(records) - 1, 1.0 - 0.0027 / 2.0))
     z = cfg.z_grid[0]
     counts = [rec["count"] for rec in records]
     expected_density = _closed_form_mean_density(cfg)
@@ -450,14 +457,14 @@ def _sum_env_validate(cfg: ExperimentConfig, records: list[dict]):
     if expected_density is not None:
         expected = z * expected_density * cfg.window.volume
         se = max(count_est.stderr, 1e-12)
-        ok = abs(count_est.value - expected) <= 3.0 * se
+        ok = abs(count_est.value - expected) <= t_max * se
         criteria["poisson_count_mean"] = bool(ok)
         rows.append([cfg.model_name, len(records), "count_mean", count_est.value, count_est.stderr, expected, ok])
     if "edge_length" in records[0]:
         lengths = [rec["edge_length"] / cfg.window.volume for rec in records]
         est = pool_replicates(lengths)
         if expected_density is not None:
-            ok = abs(est.value - expected_density) <= 3.0 * max(est.stderr, 1e-12)
+            ok = abs(est.value - expected_density) <= t_max * max(est.stderr, 1e-12)
             criteria["edge_length_intensity"] = bool(ok)
             rows.append([cfg.model_name, len(records), "edge_length_per_area", est.value, est.stderr, expected_density, ok])
         worst = max(rec.get("bisector_max_err", 0.0) for rec in records)

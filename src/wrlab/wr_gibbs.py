@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Window, has_duplicate_rows
+from . import geometry
+from .geometry import Window, _pair_squared_distances, _squared_distances, has_duplicate_rows
 from .intensity import EnvironmentRealization, poisson_draw, sample_poisson
 from .rng import as_generator, spawn
 from .stats import EstimateWithError, batch_means, pool_independent
@@ -208,48 +209,18 @@ def sample_wr_rejection(
     raise RejectionBudgetError(max_attempts)
 
 
-def _squared_distances(diff: np.ndarray) -> np.ndarray:
-    """Squared length of each difference vector (the last axis), summed axis
-    by axis: the rule of :func:`is_viable`'s KD-tree, compared with ``r*r``."""
-    d2 = diff[..., 0] * diff[..., 0]
-    for k in range(1, diff.shape[-1]):
-        d2 += diff[..., k] * diff[..., k]
-    return d2
-
-
-def _pair_squared_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``(len(p), len(q))`` squared distances between the rows of ``p`` and
-    ``q``, summed axis by axis as in :func:`_squared_distances`, without a
-    ``(len(p), len(q), d)`` difference array."""
-    d2 = np.subtract.outer(p[:, 0], q[:, 0])
-    d2 *= d2
-    for k in range(1, p.shape[1]):
-        dk = np.subtract.outer(p[:, k], q[:, k])
-        dk *= dk
-        d2 += dk
-    return d2
-
-
-# candidate-other pairs up to which _clear_of compares every pair directly;
-# above it a KD-tree nearest-point query is the cheaper one.  On a 2-core
-# x86 machine the direct compare took 0.2-0.6 of the tree's time up to 15k
-# pairs, 0.7-1.0 near 30k, and 2.5x the tree's near 50k, where its n x m
-# arrays outgrow the cache
-_CLEAR_OF_DIRECT_PAIRS = 16384
-
-
 def _clear_of(cand: np.ndarray, other: np.ndarray, r: float) -> np.ndarray:
     """Mask of the candidates more than ``r`` from every point of ``other``.
 
     The rule is :func:`is_viable`'s: a distance ``<= r`` excludes, compared
-    on squared distances.  Up to ``_CLEAR_OF_DIRECT_PAIRS`` candidate-other
+    on squared distances.  Up to ``geometry._DIRECT_PAIRS`` candidate-other
     pairs every pair is compared; above it a KD-tree finds each candidate's
     nearest point, which alone is compared with ``r``.
     """
     keep = np.ones(len(cand), dtype=bool)
     if len(cand) == 0 or len(other) == 0:
         return keep
-    if len(cand) * len(other) <= _CLEAR_OF_DIRECT_PAIRS:
+    if len(cand) * len(other) <= geometry._DIRECT_PAIRS:
         return _pair_squared_distances(cand, other).min(axis=1) > r * r
     from scipy.spatial import cKDTree
 

@@ -13,6 +13,10 @@ import numpy as np
 from wrlab import wr_gibbs
 from wrlab.geometry import Configuration, Window
 
+# values of geometry._DIRECT_PAIRS under which every distance test takes the
+# KD-tree, and under which every one compares all pairs directly
+DIRECT_CUTS = (0, 10**12)
+
 
 def random_window(rng, dim=2, max_side=10.0) -> Window:
     lo = rng.uniform(-5.0, 5.0, size=dim)

@@ -404,8 +404,8 @@ replicates = 3
         ),
         (
             ENV_VALIDATE.format(seed=9, model="model = voronoi\nseed_intensity = 1.0", reps=3),
-            "df75dfb3a914f6f5f0bf18d2b9db2724911bb552a9a962e74f8bc960132db1a6",
-            "ab63dbcf6976b4b3c5bc7c6db9984b0b28c012d2123fd156728634b8183bed28",
+            "24d09326168fcee145731f867edf584d5954c6275e55460926490bb603ad7601",
+            "79cbbf8812fe6529523829a897bce362cf36cb68365c21ba89bbd29422df5d6a",
         ),
         (
             ENV_VALIDATE.format(seed=13, model="model = manhattan\nline_intensity = 0.7", reps=4),
@@ -447,6 +447,22 @@ def test_import_and_validate_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wrlab.__file__)))
     out = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.splitlines()[-1] == f"{[0] * len(paths)} []"
+
+
+def test_domination_campaign_loads_no_scipy(tmp_path):
+    # the domination battery labels configurations of a few dozen points,
+    # which build_components compares pair by pair; the chain's exclusion
+    # tests are as small, so a campaign on a small window runs on numpy alone
+    path = write_config(tmp_path, DOMINATION_CHECK)
+    code = (
+        "import sys, wrlab.cli\n"
+        "code = wrlab.cli.main(['domination-check', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wrlab.__file__)))
+    args = [sys.executable, "-c", code, path, str(tmp_path / "out")]
+    out = subprocess.run(args, capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_merge_equals_full_run_and_commutes(tmp_path):

@@ -1,7 +1,11 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
+from wrlab import geometry
 from wrlab.geometry import (
     ComponentLabeling,
     Configuration,
@@ -18,6 +22,7 @@ from wrlab.geometry import (
 from wrlab.wr_gibbs import MarkedConfiguration
 
 from helpers import (
+    DIRECT_CUTS,
     boundary_reachable_points,
     canonical_labels,
     random_configuration,
@@ -101,6 +106,27 @@ def test_point_outside_window_rejected():
         build_components(conf, ConnectivityParams(0.2), win)
 
 
+def components_at_cut(conf, params, win, direct_pairs):
+    """build_components with the direct-compare cut set to ``direct_pairs``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_DIRECT_PAIRS", direct_pairs)
+        return build_components(conf, params, win)
+
+
+def assert_matches_oracle(conf, params, win):
+    """build_components agrees with the brute-force oracle on both sides of
+    the direct-compare cut, up to a relabeling of the components."""
+    slow = brute_force_components(conf, params, win)
+    for direct_pairs in DIRECT_CUTS:
+        fast = components_at_cut(conf, params, win, direct_pairs)
+        assert fast.num_components_free == slow.num_components_free
+        assert fast.num_components_wired == slow.num_components_wired
+        assert canonical_labels(fast.labels) == canonical_labels(slow.labels)
+        # per-component boundary flags agree up to the same relabeling
+        for i in range(len(conf)):
+            assert fast.touches_boundary[fast.labels[i]] == slow.touches_boundary[slow.labels[i]]
+
+
 def test_build_components_matches_brute_force_oracle():
     rng = np.random.default_rng(20260808)
     params_pool = [0.3, 0.5, 1.0, 2.0]
@@ -108,18 +134,7 @@ def test_build_components_matches_brute_force_oracle():
         win = random_window(rng)
         n = int(rng.integers(0, 13))
         conf = random_configuration(rng, n, win)
-        params = ConnectivityParams(params_pool[trial % 4], wired=True)
-        fast = build_components(conf, params, win)
-        slow = brute_force_components(conf, params, win)
-        assert fast.num_components_free == slow.num_components_free
-        assert fast.num_components_wired == slow.num_components_wired
-        assert canonical_labels(fast.labels) == canonical_labels(slow.labels)
-        # per-component boundary flags agree up to the same relabeling
-        for i in range(n):
-            assert (
-                fast.touches_boundary[fast.labels[i]]
-                == slow.touches_boundary[slow.labels[i]]
-            )
+        assert_matches_oracle(conf, ConnectivityParams(params_pool[trial % 4], wired=True), win)
 
 
 @hypothesis_settings(max_examples=150, deadline=None)
@@ -133,15 +148,56 @@ def test_build_components_matches_brute_force_on_lattice_ties(sites, a, wired):
     # exactly 2a for every radius drawn
     win = Window.cube(4.0, 2)
     pts = np.array(sorted((0.5 * i, 0.5 * j) for i, j in sites), dtype=float).reshape(-1, 2)
-    conf = Configuration(pts)
-    params = ConnectivityParams(a, wired=wired)
-    fast = build_components(conf, params, win)
-    slow = brute_force_components(conf, params, win)
-    assert fast.num_components_free == slow.num_components_free
-    assert fast.num_components_wired == slow.num_components_wired
-    assert canonical_labels(fast.labels) == canonical_labels(slow.labels)
-    for i in range(len(conf)):
-        assert fast.touches_boundary[fast.labels[i]] == slow.touches_boundary[slow.labels[i]]
+    assert_matches_oracle(Configuration(pts), ConnectivityParams(a, wired=wired), win)
+
+
+def assert_direct_labels_equal_tree_labels(conf, params, win):
+    """The direct-compare path gives the KD-tree path's labeling exactly:
+    the same label array and dtype, boundary flags and counts."""
+    tree, direct = (components_at_cut(conf, params, win, cut) for cut in DIRECT_CUTS)
+    assert direct.labels.dtype == tree.labels.dtype
+    assert np.array_equal(direct.labels, tree.labels)
+    assert np.array_equal(direct.touches_boundary, tree.touches_boundary)
+    assert direct.num_components_free == tree.num_components_free
+    assert direct.num_components_wired == tree.num_components_wired
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_direct_labels_equal_tree_labels_up_to_the_cut(dim):
+    rng = np.random.default_rng(20261022 + dim)
+    max_n = math.isqrt(geometry._DIRECT_PAIRS)
+    for _ in range(150):
+        win = random_window(rng, dim)
+        conf = random_configuration(rng, int(rng.integers(1, max_n + 1)), win)
+        assert_direct_labels_equal_tree_labels(conf, ConnectivityParams(rng.uniform(0.1, 1.5), wired=True), win)
+
+
+def test_direct_labels_equal_tree_labels_on_chains_clusters_and_ties():
+    rng = np.random.default_rng(5)
+    max_n = math.isqrt(geometry._DIRECT_PAIRS)
+    params = ConnectivityParams(0.5, wired=True)
+    # a shuffled chain with links of 0.9 * 2a: one component that is a long
+    # path, where plain min-label propagation would need a round per link
+    chain = np.column_stack([0.9 * np.arange(max_n), np.full(max_n, 1.0)])
+    win = Window(np.zeros(2), np.array([0.9 * max_n, 2.0]))
+    conf = Configuration(chain[rng.permutation(max_n)])
+    assert_direct_labels_equal_tree_labels(conf, params, win)
+    assert build_components(conf, params, win).num_components_free == 1
+    # one dense cluster amid scattered points
+    win = Window.cube(20.0, 2)
+    cluster = rng.uniform(9.8, 10.2, size=(max_n // 2, 2))
+    scattered = rng.uniform(0.0, 20.0, size=(max_n // 2, 2))
+    conf = Configuration(np.vstack([scattered, cluster])[rng.permutation(max_n)])
+    assert_direct_labels_equal_tree_labels(conf, params, win)
+    # points on a lattice of spacing exactly 2a, in two and three dimensions:
+    # every neighbour pair is a tie, which connects
+    for dim, side in ((2, 15), (3, 6)):
+        sites = np.array(list(product(range(side), repeat=dim)), dtype=float)
+        keep = rng.permutation(len(sites))[: len(sites) // 2]
+        win = Window.cube(float(side), dim)
+        for a in (0.5, 0.25):
+            conf = Configuration(2.0 * a * sites[keep] + 0.25)
+            assert_direct_labels_equal_tree_labels(conf, ConnectivityParams(a, wired=True), win)
 
 
 def test_wired_count_monotonicity_under_insertion():

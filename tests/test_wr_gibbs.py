@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from wrlab import wr_gibbs
+from wrlab import geometry, wr_gibbs
 from wrlab.geometry import Configuration, Window
 from wrlab.intensity import (
     DensityField,
@@ -39,6 +39,7 @@ from wrlab.wr_gibbs import (
 )
 
 from helpers import (
+    DIRECT_CUTS,
     acceptance_all_plus,
     acceptance_monochrome,
     count_law_monochrome,
@@ -264,11 +265,6 @@ def test_block_sampler_count_law_matches_closed_form(monkeypatch):
     assert len(corrupted_steps) == settings.sweeps
 
 
-# values of _clear_of's size cut under which every exclusion takes the
-# KD-tree, and under which every one compares all pairs directly
-CLEAR_OF_CUTS = (0, 10**12)
-
-
 @pytest.mark.parametrize("wired", [PLUS, None])
 def test_block_half_step_excludes_at_exactly_two_radii(monkeypatch, wired):
     # a = 0.5 in [0, 6]^2: each pair of candidates below sits at exactly 2a
@@ -295,8 +291,8 @@ def test_block_half_step_excludes_at_exactly_two_radii(monkeypatch, wired):
         # a free boundary excludes nothing near the faces
         expected += [at for (at, _), on_face in zip(point_pairs, face) if on_face]
     boundary = FREE if wired is None else PLUS_WIRED
-    for direct_pairs in CLEAR_OF_CUTS:
-        monkeypatch.setattr(wr_gibbs, "_CLEAR_OF_DIRECT_PAIRS", direct_pairs)
+    for direct_pairs in DIRECT_CUTS:
+        monkeypatch.setattr(geometry, "_DIRECT_PAIRS", direct_pairs)
         kept = wr_gibbs._redraw(params, MINUS, plus, wired, fixed_draw, np.random.default_rng(0))
         assert sorted(map(tuple, kept.tolist())) == sorted(expected)
         # the rule is is_viable's, candidate by candidate
@@ -329,8 +325,8 @@ def test_half_step_thinning_after_exclusion_matches_thinning_first(monkeypatch, 
     params = WRParams(a=0.4, z=0.6, env=env, window=win)
     wired = wired_color(boundary)
     draw = poisson_draw(env, win, params.z)
-    for direct_pairs in CLEAR_OF_CUTS:
-        monkeypatch.setattr(wr_gibbs, "_CLEAR_OF_DIRECT_PAIRS", direct_pairs)
+    for direct_pairs in DIRECT_CUTS:
+        monkeypatch.setattr(geometry, "_DIRECT_PAIRS", direct_pairs)
         rng, ref_rng = as_generator(17), as_generator(17)
         points = {PLUS: np.zeros((0, 2)), MINUS: np.zeros((0, 2))}
         kept = {PLUS: 0, MINUS: 0}
